@@ -9,7 +9,7 @@
 //! configuration.
 
 use crate::methods::AttentionMethod;
-use crate::pipeline::{run_attention, AttentionInputs};
+use crate::pipeline::{run_attention, AttentionInputs, AttentionRun};
 use crate::CoreError;
 use paro_model::dit::SyntheticDit;
 use paro_model::AxisOrder;
@@ -85,73 +85,23 @@ pub fn forward(
     opts: &ForwardOptions,
 ) -> Result<(Tensor, ForwardStats), CoreError> {
     let cfg = dit.config();
-    let n = cfg.total_tokens();
-    let d = cfg.hidden;
-    if content.shape() != [n, d] {
-        return Err(CoreError::GridMismatch {
-            tokens: content.shape().first().copied().unwrap_or(0),
-            grid_len: n,
-        });
-    }
-    let hd = cfg.head_dim();
-    let mut x = content.add(dit.positional())?;
-    let mut plans = Vec::with_capacity(cfg.blocks);
+    let mut plans = vec![Vec::with_capacity(cfg.heads); cfg.blocks];
     let mut bits_sum = 0.0f32;
     let mut sparsity_sum = 0.0f32;
     let mut head_count = 0usize;
-
-    for block in dit.blocks() {
-        // --- attention sub-layer (pre-norm residual) ---
-        let normed = rms_norm(&x);
-        let lb = if opts.linear_w8a8 {
-            Some(opts.linear_bits)
-        } else {
-            None
-        };
-        let q = linear(&normed, &block.w_q, lb)?;
-        let k = linear(&normed, &block.w_k, lb)?;
-        let v = linear(&normed, &block.w_v, lb)?;
-        // Heads are independent: fan them out on the shared compute pool
-        // (run_attention is pure), then assemble the concatenated output.
-        // The pool is sized by available_parallelism and reused across
-        // blocks and forward passes — no per-block thread spawning.
-        let mut jobs: Vec<
-            Box<dyn FnOnce() -> Result<crate::pipeline::AttentionRun, CoreError> + Send>,
-        > = Vec::with_capacity(cfg.heads);
-        for h in 0..cfg.heads {
-            let qs = q.block(0, h * hd, n, hd)?;
-            let ks = k.block(0, h * hd, n, hd)?;
-            let vs = v.block(0, h * hd, n, hd)?;
-            let grid = cfg.grid;
-            let text = cfg.text_tokens;
-            let method = opts.method;
-            jobs.push(Box::new(move || {
-                let inputs = AttentionInputs::with_text(qs, ks, vs, grid, text)?;
-                run_attention(&inputs, &method)
-            }));
-        }
-        let head_runs = crate::pool::ComputePool::global().run_many(jobs);
-        let mut attn_out = Tensor::zeros(&[n, d]);
-        let mut block_plans = Vec::with_capacity(cfg.heads);
-        for (h, run) in head_runs.into_iter().enumerate() {
-            let run = run?;
-            attn_out.set_block(0, h * hd, &run.output)?;
-            block_plans.push(run.plan.as_ref().map(|p| p.order()));
+    let method = opts.method;
+    let x = forward_blocks(
+        dit,
+        content,
+        opts.linear_w8a8.then_some(opts.linear_bits),
+        |_, _| Box::new(move |inputs| run_attention(inputs, &method)),
+        |block, run| {
+            plans[block].push(run.plan.as_ref().map(|p| p.order()));
             bits_sum += run.avg_bits;
             sparsity_sum += run.map_sparsity;
             head_count += 1;
-        }
-        let o = linear(&attn_out, &block.w_o, lb)?;
-        x = x.add(&o)?;
-
-        // --- FFN sub-layer (pre-norm residual) ---
-        let normed = rms_norm(&x);
-        let up = linear(&normed, &block.w_ffn_up, lb)?;
-        let act = up.map(gelu);
-        let down = linear(&act, &block.w_ffn_down, lb)?;
-        x = x.add(&down)?;
-        plans.push(block_plans);
-    }
+        },
+    )?;
     let stats = ForwardStats {
         plans,
         avg_bits: bits_sum / head_count.max(1) as f32,
@@ -177,6 +127,40 @@ pub fn forward_calibrated(
     output_aware: bool,
 ) -> Result<Tensor, CoreError> {
     let cfg = dit.config();
+    if calibrations.len() != cfg.blocks || calibrations.iter().any(|b| b.len() != cfg.heads) {
+        return Err(CoreError::EmptyAllocation);
+    }
+    forward_blocks(
+        dit,
+        content,
+        linear_w8a8.then_some(Bitwidth::B8),
+        |block, head| {
+            let cal = calibrations[block][head].clone();
+            Box::new(move |inputs| {
+                crate::pipeline::run_attention_calibrated(inputs, &cal, output_aware)
+            })
+        },
+        |_, _| {},
+    )
+}
+
+/// One head's attention, run on the shared compute pool.
+type HeadAttention = Box<dyn FnOnce(&AttentionInputs) -> Result<AttentionRun, CoreError> + Send>;
+
+/// The DiT block loop both forward passes share: per block, pre-norm →
+/// QKV → per-head attention fanned out on the shared compute pool → O
+/// projection → residual, then pre-norm → FFN → residual. `head(block,
+/// head)` builds each head's attention; `observe(block, run)` sees every
+/// head's run in head order. `lb` is the linear layers' fake
+/// quantization width (`None` = full precision).
+fn forward_blocks(
+    dit: &SyntheticDit,
+    content: &Tensor,
+    lb: Option<Bitwidth>,
+    mut head: impl FnMut(usize, usize) -> HeadAttention,
+    mut observe: impl FnMut(usize, &AttentionRun),
+) -> Result<Tensor, CoreError> {
+    let cfg = dit.config();
     let n = cfg.total_tokens();
     let d = cfg.hidden;
     if content.shape() != [n, d] {
@@ -185,48 +169,45 @@ pub fn forward_calibrated(
             grid_len: n,
         });
     }
-    if calibrations.len() != cfg.blocks || calibrations.iter().any(|b| b.len() != cfg.heads) {
-        return Err(CoreError::EmptyAllocation);
-    }
     let hd = cfg.head_dim();
-    let lb = if linear_w8a8 {
-        Some(Bitwidth::B8)
-    } else {
-        None
-    };
     let mut x = content.add(dit.positional())?;
     for (bi, block) in dit.blocks().iter().enumerate() {
+        // --- attention sub-layer (pre-norm residual) ---
         let normed = rms_norm(&x);
         let q = linear(&normed, &block.w_q, lb)?;
         let k = linear(&normed, &block.w_k, lb)?;
         let v = linear(&normed, &block.w_v, lb)?;
-        let mut attn_out = Tensor::zeros(&[n, d]);
-        // Same shared-pool fan-out as the online forward pass: each head
-        // runs the packed-integer calibrated pipeline independently.
-        let mut jobs: Vec<
-            Box<dyn FnOnce() -> Result<crate::pipeline::AttentionRun, CoreError> + Send>,
-        > = Vec::with_capacity(cfg.heads);
-        for (h, cal) in calibrations[bi].iter().enumerate() {
+        // Heads are independent: fan them out on the shared compute pool,
+        // then assemble the concatenated output. The pool is sized by
+        // available_parallelism and reused across blocks and forward
+        // passes — no per-block thread spawning.
+        let mut jobs: Vec<Box<dyn FnOnce() -> Result<AttentionRun, CoreError> + Send>> =
+            Vec::with_capacity(cfg.heads);
+        for h in 0..cfg.heads {
             let qs = q.block(0, h * hd, n, hd)?;
             let ks = k.block(0, h * hd, n, hd)?;
             let vs = v.block(0, h * hd, n, hd)?;
             let grid = cfg.grid;
             let text = cfg.text_tokens;
-            let cal = cal.clone();
+            let attend = head(bi, h);
             jobs.push(Box::new(move || {
-                let inputs = AttentionInputs::with_text(qs, ks, vs, grid, text)?;
-                crate::pipeline::run_attention_calibrated(&inputs, &cal, output_aware)
+                attend(&AttentionInputs::with_text(qs, ks, vs, grid, text)?)
             }));
         }
+        let mut attn_out = Tensor::zeros(&[n, d]);
         for (h, run) in crate::pool::ComputePool::global()
             .run_many(jobs)
             .into_iter()
             .enumerate()
         {
-            attn_out.set_block(0, h * hd, &run?.output)?;
+            let run = run?;
+            attn_out.set_block(0, h * hd, &run.output)?;
+            observe(bi, &run);
         }
         let o = linear(&attn_out, &block.w_o, lb)?;
         x = x.add(&o)?;
+
+        // --- FFN sub-layer (pre-norm residual) ---
         let normed = rms_norm(&x);
         let up = linear(&normed, &block.w_ffn_up, lb)?;
         let act = up.map(gelu);

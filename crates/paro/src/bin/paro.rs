@@ -24,7 +24,7 @@ use paro::serve::workload::{
 };
 use paro::serve::{
     CalibrationSource, Engine, PlanHealth, RecalibrationPolicy, ServeConfig, TenantClass, Watchdog,
-    WatchdogConfig, WavePolicy,
+    WatchdogConfig,
 };
 use paro::sim::OpCategory;
 use paro::tensor::kernel;
@@ -480,13 +480,12 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
 /// failed requests), in submission order.
 type SoakOutputs = Vec<Option<Vec<u32>>>;
 
-/// One policy run of a soak: submit the two-tenant stream on the
-/// open-loop arrival clock, wait for every admitted request, and collect
-/// engine metrics, scheduler accounting, shared-pool occupancy and
-/// per-index output bits (`None` for rejected or failed requests).
+/// One run of a soak: submit the two-tenant stream on the open-loop
+/// arrival clock, wait for every admitted request, and collect engine
+/// metrics, scheduler accounting, shared-pool occupancy and per-index
+/// output bits (`None` for rejected or failed requests).
 fn soak_run(
     opts: &SoakBenchOpts,
-    policy: WavePolicy,
 ) -> Result<(SoakRunReport, SoakOutputs), Box<dyn std::error::Error>> {
     let b = &opts.bench;
     let model = scaled_config(
@@ -508,7 +507,6 @@ fn soak_run(
             TenantClass::new("interactive", w0),
             TenantClass::new("batch", w1),
         ],
-        wave_policy: policy,
         ..ServeConfig::default()
     };
     let engine = Engine::new(cfg, model.clone(), source)?;
@@ -578,11 +576,6 @@ fn soak_run(
         })
         .collect();
     let run = SoakRunReport {
-        wave_policy: match policy {
-            WavePolicy::Drain => "drain",
-            WavePolicy::Continuous => "continuous",
-        }
-        .to_string(),
         wall_ms: wall.as_secs_f64() * 1e3,
         completed: snap.completed,
         failed: snap.failed,
@@ -603,14 +596,14 @@ fn soak_run(
     Ok((run, outputs))
 }
 
-/// Folds repeated runs of one wave policy into a single report: event
-/// counters are summed across repeats, while wall time, busy fractions
-/// and latency quantiles are averaged (quantiles of same-shape runs, so
-/// the mean is a fair summary rather than a re-estimate).
+/// Folds repeated runs into a single report: event counters are summed
+/// across repeats, while wall time, busy fractions and latency quantiles
+/// are averaged (quantiles of same-shape runs, so the mean is a fair
+/// summary rather than a re-estimate).
 fn aggregate_runs(runs: Vec<SoakRunReport>) -> SoakRunReport {
     let n = runs.len() as f64;
     let mut iter = runs.into_iter();
-    let mut acc = iter.next().expect("at least one run per policy");
+    let mut acc = iter.next().expect("at least one run");
     for run in iter {
         acc.wall_ms += run.wall_ms;
         acc.completed += run.completed;
@@ -667,41 +660,24 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
         paro::serve::admission::request_cost(model.grid.len(), model.head_dim(), b.budget, None);
     let predicted =
         paro::sim::dispatch::predicted_wave_occupancy(&vec![cost; b.requests], b.threads);
-    // Alternate drain (the old per-request barrier engine) and continuous
-    // batching at the same offered rate on the same arrival schedule,
-    // `--repeat` times; alternating keeps slow drift (CPU frequency, page
-    // cache) from biasing one policy. Every run must produce the same
-    // bits for every request index it completed — this pins determinism
-    // both across policies and across repeats of the same policy.
-    let mut drain_runs = Vec::with_capacity(opts.repeat);
-    let mut cont_runs = Vec::with_capacity(opts.repeat);
+    // Run the same arrival schedule `--repeat` times. Every run must
+    // produce the same bits for every request index it completed — this
+    // pins determinism across repeats, whatever the arrival interleaving.
+    let mut runs = Vec::with_capacity(opts.repeat);
     let mut reference: SoakOutputs = vec![None; b.requests];
     let mut outputs_bit_identical = true;
     for _ in 0..opts.repeat {
-        for policy in [WavePolicy::Drain, WavePolicy::Continuous] {
-            let (run, bits) = soak_run(opts, policy)?;
-            for (slot, got) in reference.iter_mut().zip(bits) {
-                if let Some(got) = got {
-                    match slot {
-                        Some(want) => outputs_bit_identical &= *want == got,
-                        None => *slot = Some(got),
-                    }
+        let (run, bits) = soak_run(opts)?;
+        for (slot, got) in reference.iter_mut().zip(bits) {
+            if let Some(got) = got {
+                match slot {
+                    Some(want) => outputs_bit_identical &= *want == got,
+                    None => *slot = Some(got),
                 }
             }
-            match policy {
-                WavePolicy::Drain => drain_runs.push(run),
-                WavePolicy::Continuous => cont_runs.push(run),
-            }
         }
+        runs.push(run);
     }
-    let drain = aggregate_runs(drain_runs);
-    let continuous = aggregate_runs(cont_runs);
-    let occupancy_gain = continuous.pool_busy_fraction - drain.pool_busy_fraction;
-    let p99_speedup = if continuous.total_p99_ms > 0.0 && drain.total_p99_ms > 0.0 {
-        drain.total_p99_ms / continuous.total_p99_ms
-    } else {
-        0.0
-    };
     let report = SoakBenchReport {
         model: model.name.clone(),
         tokens: model.grid.len(),
@@ -713,10 +689,7 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
         seed: b.seed,
         repeat: opts.repeat,
         predicted_wave_occupancy: predicted,
-        drain,
-        continuous,
-        occupancy_gain,
-        p99_speedup,
+        run: aggregate_runs(runs),
         outputs_bit_identical,
     };
     let json = serde_json::to_string_pretty(&report)?;
@@ -725,20 +698,18 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{json}");
     eprintln!(
-        "soak @ {:.0} req/s x{}: occupancy {:.2} -> {:.2} ({:+.2}), \
-         aggregate p99 {:.1} ms -> {:.1} ms ({:.2}x), outputs bit-identical: {}",
+        "soak @ {:.0} req/s x{} (repeat {}): occupancy {:.2} (predicted {:.2}), \
+         aggregate p99 {:.1} ms, outputs bit-identical: {}",
         report.rate_per_sec,
         report.requests,
-        report.drain.pool_busy_fraction,
-        report.continuous.pool_busy_fraction,
-        report.occupancy_gain,
-        report.drain.total_p99_ms,
-        report.continuous.total_p99_ms,
-        report.p99_speedup,
+        report.repeat,
+        report.run.pool_busy_fraction,
+        report.predicted_wave_occupancy,
+        report.run.total_p99_ms,
         report.outputs_bit_identical,
     );
     if !report.outputs_bit_identical {
-        return Err("soak runs diverged: the wave policy changed request outputs".into());
+        return Err("soak runs diverged: repeats changed request outputs".into());
     }
     Ok(())
 }

@@ -52,8 +52,8 @@ pub enum CliCommand {
     /// fault injection and verify the engine's fault-tolerance contract.
     ChaosBench(ChaosBenchOpts),
     /// `paro soak-bench`: drive a two-tenant open-loop arrival stream
-    /// against the engine under both wave policies and print per-tenant
-    /// latency histograms plus the drain-vs-continuous comparison.
+    /// against the engine and print per-tenant latency histograms plus
+    /// the cross-repeat determinism verdict.
     SoakBench(SoakBenchOpts),
     /// `paro drift-bench`: inject calibration drift into a watchdog-armed
     /// engine and verify the detect → recalibrate → recover loop plus
@@ -201,7 +201,7 @@ pub struct SoakBenchOpts {
     pub rate: f64,
     /// WFQ weights of the two tenant classes (`--weights A,B`).
     pub weights: (f64, f64),
-    /// Alternating drain/continuous run pairs to aggregate (`--repeat N`).
+    /// Runs of the same arrival schedule to aggregate (`--repeat N`).
     pub repeat: usize,
 }
 
@@ -337,13 +337,11 @@ exits non-zero when the SLO is infeasible.
 
 soak-bench submits the workload on a deterministic open-loop (Poisson)
 arrival clock at --rate requests/sec, split across two weighted-fair
-tenant classes (--weights, default 4,1), and runs it at the same
-offered rate under both wave policies: the drain barrier (emulating the
-old per-request engine) and continuous batching, alternating --repeat
-times to average out scheduler noise. The JSON report carries per-tenant
-latency histograms, pool busy fractions, wave/dispatch counts and the
-occupancy/p99 comparison pinned by docs/SCHEDULING.md; outputs must stay
-bit-identical across every policy and repeat or the command fails.
+tenant classes (--weights, default 4,1), and runs it --repeat times on
+the same arrival schedule to average out scheduler noise. The JSON
+report carries per-tenant latency histograms, the pool busy fraction
+and wave/dispatch counts (semantics in docs/SCHEDULING.md); outputs
+must stay bit-identical across every repeat or the command fails.
 
 drift-bench drives the calibration-drift lifecycle end to end
 (docs/LIFECYCLE.md): a watchdog-armed engine serves --warmup fresh

@@ -76,13 +76,11 @@ pub struct IntPathComparison {
 }
 
 /// Top-level JSON report `paro soak-bench` prints to stdout: a
-/// two-tenant open-loop (Poisson-arrival) soak driven against the same
-/// synthetic workload under both wave policies at the same offered rate —
-/// `drain` emulating the old per-request barrier engine, `continuous` the
-/// work graph's continuous batching — plus the headline comparisons the
-/// scheduling contract (docs/SCHEDULING.md) promises: higher pool
-/// occupancy and lower aggregate p99 under continuous batching, with
-/// outputs bit-identical across policies.
+/// two-tenant open-loop (Poisson-arrival) soak of the synthetic workload
+/// through the work graph's continuous batching, repeated `--repeat`
+/// times on the same arrival schedule and aggregated into one run, with
+/// the determinism verdict the scheduling contract (docs/SCHEDULING.md)
+/// promises: outputs bit-identical across repeats.
 #[derive(Debug, Serialize)]
 pub struct SoakBenchReport {
     /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
@@ -95,41 +93,30 @@ pub struct SoakBenchReport {
     pub threads: usize,
     /// Submission-queue capacity.
     pub queue_capacity: usize,
-    /// Requests in the open-loop arrival schedule (per policy run).
+    /// Requests in the open-loop arrival schedule (per run).
     pub requests: usize,
     /// Offered arrival rate, requests per second (`--rate`).
     pub rate_per_sec: f64,
     /// RNG seed for both the workload and the arrival schedule.
     pub seed: u64,
-    /// Alternating drain/continuous run pairs aggregated into this report
-    /// (`--repeat`): counters are summed, fractions and quantiles averaged.
+    /// Runs aggregated into this report (`--repeat`): counters are
+    /// summed, fractions and quantiles averaged.
     pub repeat: usize,
     /// Simulator-predicted worker occupancy of one wave of this workload
     /// under LPT dispatch (`paro_sim::dispatch::predicted_wave_occupancy`).
     pub predicted_wave_occupancy: f64,
-    /// The run under `WavePolicy::Drain` (per-request barrier emulation).
-    pub drain: SoakRunReport,
-    /// The run under `WavePolicy::Continuous` (head-granular backfill).
-    pub continuous: SoakRunReport,
-    /// `continuous.pool_busy_fraction - drain.pool_busy_fraction`: how
-    /// much idle worker time continuous batching reclaimed.
-    pub occupancy_gain: f64,
-    /// `drain.total_p99_ms / continuous.total_p99_ms` (0 when either side
-    /// recorded no completions) — above 1.0 means continuous batching cut
-    /// tail latency at the same offered rate.
-    pub p99_speedup: f64,
-    /// Whether every request index completed by both policy runs produced
-    /// bit-identical output tensors.
+    /// The `--repeat` runs, aggregated.
+    pub run: SoakRunReport,
+    /// Whether every request index completed by any run produced
+    /// bit-identical output tensors across all runs.
     pub outputs_bit_identical: bool,
 }
 
-/// One policy run of a soak-bench: counters from the engine's metrics,
+/// One run of a soak-bench: counters from the engine's metrics,
 /// scheduler accounting from the work graph, measured compute-pool
 /// occupancy, and flattened aggregate latency quantiles.
 #[derive(Debug, Serialize)]
 pub struct SoakRunReport {
-    /// Wave policy of this run: `continuous` or `drain`.
-    pub wave_policy: String,
     /// Wall-clock time from first submission to last completion, ms.
     pub wall_ms: f64,
     /// Requests that completed successfully.
@@ -146,8 +133,7 @@ pub struct SoakRunReport {
     pub shed_degraded: u64,
     /// Requests rejected by the shedding ladder.
     pub shed_rejected: u64,
-    /// Scheduler waves the run closed (busy periods under `continuous`,
-    /// barriers under `drain`).
+    /// Scheduler waves (busy periods) the run closed.
     pub waves: u64,
     /// Head tasks the work graph dispatched to workers.
     pub dispatched: u64,
@@ -165,7 +151,7 @@ pub struct SoakRunReport {
     pub tenants: Vec<SoakTenantRow>,
 }
 
-/// One tenant's outcome in a soak-bench policy run.
+/// One tenant's outcome in a soak-bench run.
 #[derive(Debug, Serialize)]
 pub struct SoakTenantRow {
     /// The tenant class name.

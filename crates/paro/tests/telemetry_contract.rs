@@ -354,11 +354,10 @@ fn tune_report_fields_match_docs() {
     );
 }
 
-/// A fully-populated soak report: both policy runs carry both tenant
+/// A fully-populated soak report: the aggregated run carries both tenant
 /// rows so every array element field serializes.
 fn sample_soak_report() -> SoakBenchReport {
-    let run = |policy: &str, busy: f64| SoakRunReport {
-        wave_policy: policy.to_string(),
+    let run = SoakRunReport {
         wall_ms: 158.0,
         completed: 192,
         failed: 0,
@@ -369,7 +368,7 @@ fn sample_soak_report() -> SoakBenchReport {
         shed_rejected: 0,
         waves: 19,
         dispatched: 192,
-        pool_busy_fraction: busy,
+        pool_busy_fraction: 0.65,
         total_p50_ms: 65.5,
         total_p95_ms: 83.5,
         total_p99_ms: 83.5,
@@ -401,10 +400,7 @@ fn sample_soak_report() -> SoakBenchReport {
         seed: 42,
         repeat: 3,
         predicted_wave_occupancy: 1.0,
-        drain: run("drain", 0.57),
-        continuous: run("continuous", 0.65),
-        occupancy_gain: 0.08,
-        p99_speedup: 1.05,
+        run,
         outputs_bit_identical: true,
     }
 }

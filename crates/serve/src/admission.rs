@@ -1,7 +1,7 @@
-//! Admission control: bounded queueing, deadlines and cost-aware
+//! Admission control: structured errors, deadlines and cost-aware
 //! scheduling.
 //!
-//! The engine never blocks a submitter: a full queue returns
+//! The engine never blocks a submitter: a full work graph returns
 //! [`ServeError::QueueFull`] immediately (backpressure the caller can act
 //! on), and each request carries an optional deadline checked when a
 //! worker picks it up — a request that waited past its budget is failed
@@ -17,12 +17,11 @@
 
 use paro_core::calibration::HeadCalibration;
 use paro_quant::Bitwidth;
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Locks a serve-side mutex, recovering from poison. Every structure the
-/// engine guards this way (queue state, result slots, the plan cache map)
+/// engine guards this way (work-graph state, result slots, the plan cache map)
 /// stays consistent across a holder's panic — state transitions happen
 /// before panicking code can run — so propagating the poison would only
 /// convert one failed request into a dead engine.
@@ -154,144 +153,6 @@ impl From<paro_core::CoreError> for ServeError {
     }
 }
 
-/// A bounded MPMC queue: non-blocking producers, blocking consumers.
-///
-/// Producers use [`BoundedQueue::try_push`], which rejects instead of
-/// blocking when the queue is full. Consumers use [`BoundedQueue::pop`],
-/// which parks until an item arrives or the queue is closed.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    inner: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    /// Consumers hold off while paused (used to quiesce the engine).
-    paused: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            inner: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-                paused: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Attempts to enqueue without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueFull`] when at capacity, [`ServeError::Closed`]
-    /// after [`BoundedQueue::close`].
-    pub fn try_push(&self, item: T) -> Result<(), ServeError> {
-        let mut state = relock(&self.inner);
-        if state.closed {
-            return Err(ServeError::Closed);
-        }
-        if state.items.len() >= self.capacity {
-            return Err(ServeError::QueueFull {
-                capacity: self.capacity,
-            });
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues, blocking while the queue is at capacity. Used by batch
-    /// drivers that own the pacing; external submitters use
-    /// [`BoundedQueue::try_push`] and get backpressure instead.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Closed`] after [`BoundedQueue::close`].
-    pub fn push_wait(&self, item: T) -> Result<(), ServeError> {
-        let mut state = relock(&self.inner);
-        while !state.closed && state.items.len() >= self.capacity {
-            state = rewait(&self.not_full, state);
-        }
-        if state.closed {
-            return Err(ServeError::Closed);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the next item, blocking while the queue is empty or
-    /// paused. Returns `None` once the queue is closed and drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = relock(&self.inner);
-        loop {
-            if !state.paused {
-                if let Some(item) = state.items.pop_front() {
-                    drop(state);
-                    self.not_full.notify_one();
-                    return Some(item);
-                }
-                if state.closed {
-                    return None;
-                }
-            } else if state.closed {
-                // Close overrides pause so shutdown always completes.
-                return state.items.pop_front();
-            }
-            state = rewait(&self.not_empty, state);
-        }
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        relock(&self.inner).items.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stops consumers from dequeuing (producers may still fill the
-    /// queue). Used to quiesce workers for draining and in overload
-    /// tests.
-    pub fn pause(&self) {
-        relock(&self.inner).paused = true;
-    }
-
-    /// Resumes consumers.
-    pub fn resume(&self) {
-        relock(&self.inner).paused = false;
-        self.not_empty.notify_all();
-    }
-
-    /// Closes the queue: producers fail with [`ServeError::Closed`];
-    /// consumers drain remaining items then receive `None`.
-    pub fn close(&self) {
-        relock(&self.inner).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
 /// Estimated execution cost (PE-array cycles) of one attention request.
 ///
 /// With a frozen calibration the cost is the sum of the simulator's
@@ -331,70 +192,6 @@ pub fn lpt_order(costs: &[f64]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn full_queue_rejects_without_blocking() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        let err = q.try_push(3).unwrap_err();
-        assert!(matches!(err, ServeError::QueueFull { capacity: 2 }));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn close_drains_then_ends() {
-        let q = BoundedQueue::new(4);
-        q.try_push(10).unwrap();
-        q.close();
-        assert!(matches!(q.try_push(11), Err(ServeError::Closed)));
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pause_holds_consumers_until_resume() {
-        let q = Arc::new(BoundedQueue::new(4));
-        q.pause();
-        q.try_push(7).unwrap();
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        // The consumer must not take the item while paused.
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(q.len(), 1);
-        q.resume();
-        assert_eq!(consumer.join().unwrap(), Some(7));
-    }
-
-    #[test]
-    fn concurrent_producers_and_consumers_deliver_everything() {
-        let q = Arc::new(BoundedQueue::new(64));
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(v) = q.pop() {
-                        got.push(v);
-                    }
-                    got
-                })
-            })
-            .collect();
-        for v in 0..64 {
-            q.try_push(v).unwrap();
-        }
-        q.close();
-        let mut all: Vec<i32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>());
-    }
 
     #[test]
     fn lpt_order_is_descending_and_deterministic() {
@@ -485,23 +282,5 @@ mod tests {
             s.contains("batch") && s.contains('9') && s.contains('4'),
             "{s}"
         );
-    }
-
-    #[test]
-    fn queue_survives_a_poisoning_panic() {
-        // A thread that panics while holding the queue lock must not take
-        // the queue down with it: later operations recover from poison.
-        let q = Arc::new(BoundedQueue::new(4));
-        q.try_push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let _ = std::thread::spawn(move || {
-            let _guard = relock(&q2.inner);
-            panic!("poison the queue lock");
-        })
-        .join();
-        q.try_push(2).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
     }
 }

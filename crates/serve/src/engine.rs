@@ -4,12 +4,11 @@
 //! a pool of worker threads; each request is one cost-annotated
 //! `(block, head)` head task. Admission walks the per-tenant shedding
 //! ladder, dispatch is start-time weighted-fair across tenant classes,
-//! and under the default [`WavePolicy::Continuous`] a new request's head
-//! tasks backfill idle workers while earlier requests are still in
-//! flight — the compute pool never drains between requests. Workers
-//! resolve the head's frozen calibration through the [`PlanCache`]
-//! (calibrating on first touch via a [`CalibrationSource`]) and execute
-//! the packed-integer calibrated pipeline
+//! and a new request's head tasks backfill idle workers while earlier
+//! requests are still in flight — the compute pool never drains between
+//! requests. Workers resolve the head's frozen calibration through the
+//! [`PlanCache`] (calibrating on first touch via a [`CalibrationSource`])
+//! and execute the packed-integer calibrated pipeline
 //! ([`paro_core::int_pipeline::run_attention_calibrated_int`]), recording
 //! packed-byte traffic and MAC counts into the metrics. Results are
 //! reassembled in submission order, so the multi-threaded engine's output
@@ -34,7 +33,7 @@ use crate::lifecycle::{PlanHealth, RecalibrationPolicy, Watchdog, WatchdogConfig
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan_cache::{MethodKey, PlanCache, PlanKey};
 use crate::plan_store::PlanStore;
-use crate::scheduler::{Admission, GraphStats, TenantClass, WavePolicy, WorkGraph};
+use crate::scheduler::{Admission, GraphStats, TenantClass, WorkGraph};
 use crate::shard::ShardSet;
 use paro_core::calibration::{calibrate_head, HeadCalibration};
 use paro_core::cancel::Deadline;
@@ -52,15 +51,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How a batch is ordered before it enters the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Submission order.
-    Fifo,
-    /// Longest-processing-time first, costed with the simulator's
-    /// per-block cycle model (see [`crate::admission::request_cost`]).
-    CostLpt,
-}
+/// Base backoff slept before retry `k` of a transient fault (the sleep
+/// is `k * RETRY_BACKOFF`, linearly increasing).
+const RETRY_BACKOFF: Duration = Duration::from_micros(250);
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -83,16 +76,11 @@ pub struct ServeConfig {
     pub alpha: f32,
     /// Whether `QKᵀ` is output-bitwidth aware (LDZ truncation).
     pub output_aware: bool,
-    /// Batch scheduling policy.
-    pub scheduling: Scheduling,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
     /// Maximum retries after a transient fault (contained panic or
     /// injected transient error) before the request degrades or fails.
     pub retry_limit: u32,
-    /// Base backoff slept before retry `k` (the sleep is `k *
-    /// retry_backoff`, linearly increasing).
-    pub retry_backoff: Duration,
     /// Whether a request whose packed-int path keeps faulting falls back
     /// to the f32 reference pipeline (marked `degraded` in the response,
     /// metrics and trace) instead of failing.
@@ -108,18 +96,6 @@ pub struct ServeConfig {
     /// single-tenant engine exactly. [`ServeRequest::tenant`] indexes
     /// into this list.
     pub tenants: Vec<TenantClass>,
-    /// Wave policy of the work graph: [`WavePolicy::Continuous`]
-    /// (default) backfills idle workers across requests;
-    /// [`WavePolicy::Drain`] emulates the old per-request batch barrier
-    /// for A/B comparison (`paro soak-bench` runs both).
-    pub wave_policy: WavePolicy,
-    /// Plan artifact pre-staged at the **coarse shed budget**: tier-1
-    /// shed requests fill their plan-cache misses from this artifact
-    /// instead of recalibrating, so degrading a tenant under overload
-    /// never pays a calibration. Requires every configured
-    /// `shed_budget` to be the same value, and the artifact to have
-    /// been tuned at it.
-    pub shed_plan_artifact: Option<std::path::PathBuf>,
     /// Staleness watchdog configuration. `None` disables the fidelity
     /// proxy entirely (no per-request sampling, responses never flag
     /// `stale_plan`). See `docs/LIFECYCLE.md`.
@@ -147,15 +123,11 @@ impl Default for ServeConfig {
             budget: 4.8,
             alpha: 0.5,
             output_aware: false,
-            scheduling: Scheduling::CostLpt,
             default_deadline: None,
             retry_limit: 2,
-            retry_backoff: Duration::from_micros(250),
             degraded_fallback: true,
             plan_artifact: None,
             tenants: vec![TenantClass::default()],
-            wave_policy: WavePolicy::Continuous,
-            shed_plan_artifact: None,
             watchdog: None,
             recalibration: RecalibrationPolicy::Off,
             shards: 1,
@@ -217,19 +189,6 @@ impl ServeConfig {
                 )));
             }
         }
-        if self.shed_plan_artifact.is_some() {
-            let budgets: Vec<f32> = self.tenants.iter().filter_map(|t| t.shed_budget).collect();
-            if budgets.is_empty() {
-                return Err(ServeError::InvalidConfig(
-                    "shed plan artifact set but no tenant has a shed budget".into(),
-                ));
-            }
-            if budgets.iter().any(|b| b.to_bits() != budgets[0].to_bits()) {
-                return Err(ServeError::InvalidConfig(
-                    "shed plan artifact requires one common shed budget across tenants".into(),
-                ));
-            }
-        }
         if let Some(wd) = &self.watchdog {
             wd.validate()?;
         }
@@ -254,12 +213,6 @@ impl ServeConfig {
             )));
         }
         Ok(())
-    }
-
-    /// The single shed budget shared by every shedding tenant, when a
-    /// shed plan artifact is configured (validated above).
-    fn common_shed_budget(&self) -> Option<f32> {
-        self.tenants.iter().find_map(|t| t.shed_budget)
     }
 }
 
@@ -297,7 +250,12 @@ pub struct ServeRequest {
 /// A completed request.
 #[derive(Debug, Clone)]
 pub struct ServeResponse {
-    /// Position in the submitted batch (submission order).
+    /// The engine-wide admission index: the request's position among
+    /// every request this engine has admitted, counted from 0 at
+    /// construction. It is the request's trace correlation context, so a
+    /// second batch on the same engine continues the count rather than
+    /// restarting at 0. [`BatchOutcome::responses`] is ordered by batch
+    /// position, independently of this value.
     pub index: usize,
     /// Transformer block index.
     pub block: usize,
@@ -360,7 +318,8 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// The request's submission index.
+    /// The request's engine-wide admission index (see
+    /// [`ServeResponse::index`]); also its trace correlation context.
     pub fn index(&self) -> usize {
         self.index
     }
@@ -501,23 +460,7 @@ impl Engine {
             }
             None => None,
         };
-        // The shed artifact is verified against the *shed* budget — it
-        // pre-stages the coarse plans tier-1 degradation serves from, so
-        // a mismatched file must fail construction just like the primary
-        // artifact.
-        let shed_plans = match &cfg.shed_plan_artifact {
-            Some(path) => {
-                let store = PlanStore::load(path)?;
-                let mut shed_cfg = cfg.clone();
-                shed_cfg.budget = cfg
-                    .common_shed_budget()
-                    .expect("validated: shed artifact implies a shed budget");
-                store.verify(&model, &shed_cfg)?;
-                Some(Arc::new(store))
-            }
-            None => None,
-        };
-        // The shard set is planned after the primary artifact loads, so
+        // The shard set is planned after the plan artifact loads, so
         // the head→shard map packs the *frozen* per-head costs (a B0-heavy
         // head weighs almost nothing); without an artifact every head
         // costs the budget-scaled estimate and LPT degrades to an even
@@ -529,11 +472,7 @@ impl Engine {
             cfg.budget,
             plans.as_deref(),
         )?);
-        let graph = Arc::new(WorkGraph::new(
-            &cfg.tenants,
-            cfg.queue_capacity,
-            cfg.wave_policy,
-        ));
+        let graph = Arc::new(WorkGraph::new(&cfg.tenants, cfg.queue_capacity));
         let cache = Arc::new(PlanCache::new(cfg.cache_capacity));
         let names: Vec<&str> = cfg.tenants.iter().map(|t| t.name.as_str()).collect();
         let metrics = Arc::new(Metrics::with_tenants(&names));
@@ -559,7 +498,6 @@ impl Engine {
                 metrics: Arc::clone(&metrics),
                 source: Arc::clone(&source),
                 plans: plans.clone(),
-                shed_plans: shed_plans.clone(),
                 lifecycle: Arc::clone(&lifecycle),
                 shards: Arc::clone(&shards),
             };
@@ -655,7 +593,7 @@ impl Engine {
         }
         // SFQ cost annotation: the frozen per-block cycle model when the
         // head's calibration is cached, the budget-scaled estimate
-        // otherwise (same numbers CostLpt batch ordering uses).
+        // otherwise (same numbers `run_batch`'s LPT ordering uses).
         let cal = self.cache.peek(&self.plan_key(request.block, request.head));
         let cost = request_cost(
             request.inputs.tokens(),
@@ -726,28 +664,25 @@ impl Engine {
         ticket.slot.wait()
     }
 
-    /// Runs a whole batch: admits every request (in cost-LPT order when
-    /// configured), waits for completion, and returns results in
-    /// **submission order** — deterministic regardless of worker count.
+    /// Runs a whole batch: admits every request longest-processing-time
+    /// first (costed with the simulator's per-block cycle model, see
+    /// [`crate::admission::request_cost`]), waits for completion, and
+    /// returns results in **submission order** — deterministic regardless
+    /// of worker count.
     /// Submission paces itself on queue space (a batch larger than the
     /// queue is fed as workers drain it); per-request failures (deadline
     /// miss, pipeline error, engine shutdown) appear as per-index errors.
     pub fn run_batch(&self, requests: Vec<ServeRequest>) -> BatchOutcome {
         let n = requests.len();
-        let order = match self.cfg.scheduling {
-            Scheduling::Fifo => (0..n).collect::<Vec<_>>(),
-            Scheduling::CostLpt => {
-                let head_dim = self.model.head_dim();
-                let costs: Vec<f64> = requests
-                    .iter()
-                    .map(|r| {
-                        let cal = self.cache.peek(&self.plan_key(r.block, r.head));
-                        request_cost(r.inputs.tokens(), head_dim, self.cfg.budget, cal.as_deref())
-                    })
-                    .collect();
-                lpt_order(&costs)
-            }
-        };
+        let head_dim = self.model.head_dim();
+        let costs: Vec<f64> = requests
+            .iter()
+            .map(|r| {
+                let cal = self.cache.peek(&self.plan_key(r.block, r.head));
+                request_cost(r.inputs.tokens(), head_dim, self.cfg.budget, cal.as_deref())
+            })
+            .collect();
+        let order = lpt_order(&costs);
         let mut slots: Vec<Option<Result<Ticket, ServeError>>> = (0..n).map(|_| None).collect();
         let mut requests: Vec<Option<ServeRequest>> = requests.into_iter().map(Some).collect();
         let admit_span = paro_trace::span(paro_trace::stage::SERVE_ADMIT);
@@ -917,7 +852,6 @@ struct WorkerCtx {
     metrics: Arc<Metrics>,
     source: Arc<dyn CalibrationSource>,
     plans: Option<Arc<PlanStore>>,
-    shed_plans: Option<Arc<PlanStore>>,
     lifecycle: Arc<Lifecycle>,
     shards: Arc<ShardSet>,
 }
@@ -934,7 +868,7 @@ fn worker_loop(ctx: &WorkerCtx) {
         let tenant = job.tenant;
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_one(ctx, &job)));
         // The wave accounting must see the task retire even when it
-        // panicked, or a contained fault would wedge the drain barrier.
+        // panicked, or a contained fault would leave its wave open.
         ctx.graph.task_done();
         if let Err(payload) = outcome {
             ctx.metrics.faulted.fetch_add(1, Relaxed);
@@ -1191,7 +1125,7 @@ fn run_recalibration(ctx: &RecalibCtx) -> Result<u64, ServeError> {
         }
         {
             let _backoff_span = paro_trace::span(paro_trace::stage::SERVE_RETRY_BACKOFF);
-            std::thread::sleep(ctx.cfg.retry_backoff * attempts);
+            std::thread::sleep(RETRY_BACKOFF * attempts);
         }
         attempts += 1;
         result = attempt_recalibration(ctx, &keys, new_epoch);
@@ -1319,7 +1253,7 @@ fn execute(ctx: &WorkerCtx, job: &Job) -> Result<Executed, ServeError> {
         ctx.metrics.retried.fetch_add(1, Relaxed);
         {
             let _backoff_span = paro_trace::span(paro_trace::stage::SERVE_RETRY_BACKOFF);
-            std::thread::sleep(ctx.cfg.retry_backoff * attempts);
+            std::thread::sleep(RETRY_BACKOFF * attempts);
         }
         attempts += 1;
         result = attempt_int(ctx, job, &key, deadline);
@@ -1392,17 +1326,13 @@ fn resolve_calibration(
     ctx.cache.get_or_calibrate(key, || {
         // A frozen artifact satisfies the miss without any computation:
         // thawing a record is pure decoding, so it runs on the worker
-        // thread, not the compute pool. Shed tasks consult the coarse
-        // pre-staged artifact; full-fidelity tasks the primary one.
-        // Artifacts only hold the epoch they were frozen at — misses on
+        // thread, not the compute pool. The artifact holds full-budget
+        // plans at the epoch it was frozen at, so shed tasks and misses on
         // recalibrated epochs recompute from the live source instead.
-        let store = if job.epoch != ctx.lifecycle.base_epoch {
-            &None
-        } else if job.budget_override.is_some() {
-            &ctx.shed_plans
-        } else {
-            &ctx.plans
-        };
+        let store = ctx
+            .plans
+            .as_ref()
+            .filter(|_| job.budget_override.is_none() && job.epoch == ctx.lifecycle.base_epoch);
         if let Some(store) = store {
             let _load_span = paro_trace::span(paro_trace::stage::PLAN_LOAD);
             if let Some(cal) = store.lookup(job.block, job.head)? {

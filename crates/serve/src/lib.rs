@@ -31,11 +31,11 @@
 //!   a statically planned head→shard map (greedy LPT over the calibrated
 //!   per-head costs, [`paro_core::placement`]), bit-identical to the
 //!   unsharded engine by construction. See `docs/SHARDING.md`.
-//! - [`admission`] — backpressure (a full queue rejects with a structured
-//!   [`ServeError`] instead of blocking), NaN/Inf input rejection at the
-//!   door, per-request deadlines with cooperative mid-pipeline
-//!   cancellation, and cost-aware LPT batch scheduling reusing the
-//!   simulator's dispatch cost model.
+//! - [`admission`] — structured [`ServeError`]s (a full work graph
+//!   rejects instead of blocking), NaN/Inf input rejection at the door,
+//!   per-request deadlines with cooperative mid-pipeline cancellation,
+//!   and cost-aware LPT batch scheduling reusing the simulator's
+//!   dispatch cost model.
 //! - [`lifecycle`] — the calibration-drift lifecycle: a cheap fidelity
 //!   proxy sampled from served requests feeds a staleness [`Watchdog`]
 //!   (`Fresh → Suspect → Stale` with EWMA thresholds and hysteresis),
@@ -88,10 +88,9 @@ pub mod scheduler;
 pub mod shard;
 pub mod workload;
 
-pub use admission::{BoundedQueue, ServeError};
+pub use admission::ServeError;
 pub use engine::{
-    BatchOutcome, CalibrationSource, Engine, Scheduling, ServeConfig, ServeRequest, ServeResponse,
-    Ticket,
+    BatchOutcome, CalibrationSource, Engine, ServeConfig, ServeRequest, ServeResponse, Ticket,
 };
 pub use lifecycle::{PlanHealth, RecalibrationPolicy, Watchdog, WatchdogConfig, WatchdogStats};
 pub use metrics::{
@@ -100,13 +99,13 @@ pub use metrics::{
 };
 pub use plan_cache::{CacheStats, MethodKey, PlanCache, PlanKey};
 pub use plan_store::PlanStore;
-pub use scheduler::{GraphStats, TenantClass, WavePolicy, WorkGraph};
+pub use scheduler::{GraphStats, TenantClass, WorkGraph};
 pub use shard::{shard_label, ShardSet, MAX_SHARDS};
 
 /// Convenience re-exports for engine users.
 pub mod prelude {
-    pub use crate::engine::{Engine, Scheduling, ServeConfig, ServeRequest};
-    pub use crate::scheduler::{TenantClass, WavePolicy};
+    pub use crate::engine::{Engine, ServeConfig, ServeRequest};
+    pub use crate::scheduler::TenantClass;
     pub use crate::workload;
     pub use crate::ServeError;
 }

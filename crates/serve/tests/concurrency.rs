@@ -4,7 +4,7 @@
 
 use paro_model::ModelConfig;
 use paro_serve::workload::{scaled_config, synthetic_requests, SyntheticSource, WorkloadSpec};
-use paro_serve::{Engine, Scheduling, ServeConfig, ServeError, ServeRequest};
+use paro_serve::{Engine, ServeConfig, ServeError, ServeRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,14 +31,10 @@ fn test_requests(model: &ModelConfig, requests: usize) -> Vec<ServeRequest> {
     })
 }
 
-fn run_with_workers(workers: usize, scheduling: Scheduling) -> Vec<Vec<f32>> {
+fn run_with_workers(workers: usize) -> Vec<Vec<f32>> {
     let model = test_model();
     let source = Arc::new(SyntheticSource::new(model.clone(), 2, 99));
-    let cfg = ServeConfig {
-        scheduling,
-        ..test_config(workers)
-    };
-    let engine = Engine::new(cfg, model.clone(), source).unwrap();
+    let engine = Engine::new(test_config(workers), model.clone(), source).unwrap();
     let outcome = engine.run_batch(test_requests(&model, 18));
     outcome
         .responses
@@ -55,21 +51,16 @@ fn run_with_workers(workers: usize, scheduling: Scheduling) -> Vec<Vec<f32>> {
 
 #[test]
 fn output_is_bit_identical_across_worker_counts() {
-    let baseline = run_with_workers(1, Scheduling::Fifo);
+    let baseline = run_with_workers(1);
     for workers in [2usize, 8] {
-        for scheduling in [Scheduling::Fifo, Scheduling::CostLpt] {
-            let outputs = run_with_workers(workers, scheduling);
-            assert_eq!(baseline.len(), outputs.len());
-            for (i, (a, b)) in baseline.iter().zip(&outputs).enumerate() {
-                // Bitwise equality, not tolerance: scheduling must not
-                // change a single ulp.
-                let a_bits: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
-                let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(
-                    a_bits, b_bits,
-                    "request {i} differs at {workers} workers ({scheduling:?})"
-                );
-            }
+        let outputs = run_with_workers(workers);
+        assert_eq!(baseline.len(), outputs.len());
+        for (i, (a, b)) in baseline.iter().zip(&outputs).enumerate() {
+            // Bitwise equality, not tolerance: scheduling must not
+            // change a single ulp.
+            let a_bits: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
+            let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(a_bits, b_bits, "request {i} differs at {workers} workers");
         }
     }
 }
@@ -159,18 +150,37 @@ fn plan_cache_hits_dominate_after_warmup() {
     assert!(hits >= 84, "per-response hits {hits}");
 }
 
+/// Responses come back in batch position order, while `index` is the
+/// engine-wide admission counter: a second batch on the same engine
+/// continues it instead of restarting at 0.
 #[test]
 fn responses_arrive_in_submission_order() {
     let model = test_model();
     let source = Arc::new(SyntheticSource::new(model.clone(), 1, 3));
     let engine = Engine::new(test_config(8), model.clone(), source).unwrap();
-    let reqs = test_requests(&model, 12);
-    let expected: Vec<(usize, usize)> = reqs.iter().map(|r| (r.block, r.head)).collect();
-    let outcome = engine.run_batch(reqs);
-    for (i, resp) in outcome.responses.iter().enumerate() {
-        let resp = resp.as_ref().unwrap();
-        assert_eq!(resp.index, i);
-        assert_eq!((resp.block, resp.head), expected[i]);
+    for batch in 0..2 {
+        let reqs = test_requests(&model, 12);
+        let expected: Vec<(usize, usize)> = reqs.iter().map(|r| (r.block, r.head)).collect();
+        let outcome = engine.run_batch(reqs);
+        let mut indices: Vec<usize> = outcome
+            .responses
+            .iter()
+            .zip(&expected)
+            .map(|(resp, &want)| {
+                let resp = resp.as_ref().unwrap();
+                assert_eq!((resp.block, resp.head), want);
+                resp.index
+            })
+            .collect();
+        if batch == 0 {
+            // Cold cache: every request costs the same, so LPT admits in
+            // submission order and the counter matches batch position.
+            assert_eq!(indices, (0..12).collect::<Vec<_>>());
+        }
+        // Warm cache: LPT admission permutes the counter within a batch,
+        // but the batch as a whole owns the next 12 admission slots.
+        indices.sort_unstable();
+        assert_eq!(indices, (12 * batch..12 * (batch + 1)).collect::<Vec<_>>());
     }
 }
 

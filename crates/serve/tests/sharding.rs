@@ -8,7 +8,7 @@
 
 use paro_model::ModelConfig;
 use paro_serve::workload::{scaled_config, synthetic_requests, SyntheticSource, WorkloadSpec};
-use paro_serve::{Engine, Scheduling, ServeConfig, ServeRequest};
+use paro_serve::{Engine, ServeConfig, ServeRequest};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -140,7 +140,7 @@ fn routing_covers_the_model_universe() {
     );
 }
 
-/// Sharding composes with LPT batch scheduling (the default) without
+/// Sharding composes with `run_batch`'s LPT admission order without
 /// affecting results — the two orderings are independent layers.
 #[test]
 fn sharding_composes_with_cost_lpt_scheduling() {
@@ -151,7 +151,6 @@ fn sharding_composes_with_cost_lpt_scheduling() {
         let cfg = ServeConfig {
             workers: 1,
             block_edge: 4,
-            scheduling: Scheduling::Fifo,
             ..ServeConfig::default()
         };
         let engine = Engine::new(cfg, model.clone(), Arc::clone(&source) as _).unwrap();
@@ -160,7 +159,6 @@ fn sharding_composes_with_cost_lpt_scheduling() {
     let cfg = ServeConfig {
         workers: 3,
         block_edge: 4,
-        scheduling: Scheduling::CostLpt,
         shards: 2,
         ..ServeConfig::default()
     };
