@@ -15,6 +15,7 @@ use paro_model::dit::SyntheticDit;
 use paro_model::AxisOrder;
 use paro_quant::{fake_quant_2d, Bitwidth, Grouping};
 use paro_tensor::Tensor;
+use std::borrow::Cow;
 
 /// Statistics collected during one forward pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,10 +174,16 @@ fn forward_blocks(
     let mut x = content.add(dit.positional())?;
     for (bi, block) in dit.blocks().iter().enumerate() {
         // --- attention sub-layer (pre-norm residual) ---
-        let normed = rms_norm(&x);
-        let q = linear(&normed, &block.w_q, lb)?;
-        let k = linear(&normed, &block.w_k, lb)?;
-        let v = linear(&normed, &block.w_v, lb)?;
+        // Q, K and V read the same normed activation: quantize it once.
+        let (q, k, v) = {
+            let normed = rms_norm(&x);
+            let xq = quantize_input(&normed, lb)?;
+            (
+                project(&xq, &block.w_q, lb)?,
+                project(&xq, &block.w_k, lb)?,
+                project(&xq, &block.w_v, lb)?,
+            )
+        };
         // Heads are independent: fan them out on the shared compute pool,
         // then assemble the concatenated output. The pool is sized by
         // available_parallelism and reused across blocks and forward
@@ -221,12 +228,26 @@ fn forward_blocks(
 /// per-dimension (column) weights at the given bitwidth (`None` = full
 /// precision).
 fn linear(x: &Tensor, w: &Tensor, bits: Option<Bitwidth>) -> Result<Tensor, CoreError> {
+    project(&*quantize_input(x, bits)?, w, bits)
+}
+
+/// A linear layer's input side: per-token (row) fake quantization at
+/// `bits`, or `x` itself at full precision.
+fn quantize_input(x: &Tensor, bits: Option<Bitwidth>) -> Result<Cow<'_, Tensor>, CoreError> {
+    Ok(match bits {
+        None => Cow::Borrowed(x),
+        Some(bits) => Cow::Owned(fake_quant_2d(x, Grouping::PerRow, bits)?.0),
+    })
+}
+
+/// A linear layer's weight side: `xq · w` with `w` fake-quantized per
+/// dimension (column) at `bits`. The quantized weight lives only for the
+/// product — no copy of the weights outlives the call.
+fn project(xq: &Tensor, w: &Tensor, bits: Option<Bitwidth>) -> Result<Tensor, CoreError> {
     let Some(bits) = bits else {
-        return Ok(x.matmul(w)?);
+        return Ok(xq.matmul(w)?);
     };
-    let (xq, _) = fake_quant_2d(x, Grouping::PerRow, bits)?;
-    let (wq, _) = fake_quant_2d(w, Grouping::PerCol, bits)?;
-    Ok(xq.matmul(&wq)?)
+    Ok(xq.matmul(&fake_quant_2d(w, Grouping::PerCol, bits)?.0)?)
 }
 
 /// Row-wise RMS normalization (the pre-norm that keeps residual scales

@@ -1,3 +1,4 @@
+use crate::kernels::{self, Kernel};
 use crate::{Bitwidth, QuantError, QuantParams};
 use paro_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -140,6 +141,11 @@ pub struct GroupStats {
 /// row-major group order (rows for [`Grouping::PerRow`], columns for
 /// [`Grouping::PerCol`], blocks row-major for [`Grouping::Block`]).
 ///
+/// Runs on the dispatched SIMD kernel. Every element and every parameter
+/// set is bit-identical to the element-wise definition: min-max
+/// calibration of the group ([`QuantParams::calibrate_minmax`]), then
+/// [`QuantParams::fake_quant`].
+///
 /// # Errors
 ///
 /// Propagates tensor shape errors; returns [`QuantError::Tensor`] with a
@@ -149,43 +155,74 @@ pub fn fake_quant_2d(
     grouping: Grouping,
     bits: Bitwidth,
 ) -> Result<(Tensor, Vec<QuantParams>), QuantError> {
+    fake_quant_2d_with(t, grouping, bits, kernels::active_kernel())
+}
+
+/// [`fake_quant_2d`] on an explicit [`Kernel`] (forced-kernel testing);
+/// results are bit-identical across kernels.
+///
+/// # Errors
+///
+/// Same as [`fake_quant_2d`].
+pub fn fake_quant_2d_with(
+    t: &Tensor,
+    grouping: Grouping,
+    bits: Bitwidth,
+    kernel: Kernel,
+) -> Result<(Tensor, Vec<QuantParams>), QuantError> {
+    /// Lanes of the per-row range fold: several independent SIMD
+    /// accumulators, reduced to one range per row at the end.
+    const ROW_LANES: usize = 32;
     require_rank2(t)?;
     let (m, n) = (t.shape()[0], t.shape()[1]);
+    let a = t.as_slice();
     match grouping {
         Grouping::PerTensor => {
-            let p = QuantParams::calibrate_minmax(t.as_slice(), bits);
-            let out = Tensor::from_vec(&[m, n], p.fake_quant_slice(t.as_slice()))?;
+            let p = QuantParams::calibrate_minmax(a, bits);
+            let out = Tensor::from_vec(&[m, n], p.fake_quant_slice_with(a, kernel))?;
             Ok((out, vec![p]))
         }
         Grouping::PerRow => {
             let mut out = vec![0.0f32; m * n];
             let mut params = Vec::with_capacity(m);
-            let a = t.as_slice();
             for r in 0..m {
                 let row = &a[r * n..(r + 1) * n];
-                let p = QuantParams::calibrate_minmax(row, bits);
-                out[r * n..(r + 1) * n].copy_from_slice(&p.fake_quant_slice(row));
+                let mut lo = [f32::INFINITY; ROW_LANES];
+                let mut hi = [f32::NEG_INFINITY; ROW_LANES];
+                kernels::finite_range(kernel, row, &mut lo, &mut hi);
+                let p = QuantParams::from_range(
+                    lo.iter().fold(f32::INFINITY, |acc, &v| acc.min(v)),
+                    hi.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v)),
+                    bits,
+                );
+                p.fake_quant_into(row, &mut out[r * n..(r + 1) * n], kernel);
                 params.push(p);
             }
             Ok((Tensor::from_vec(&[m, n], out)?, params))
         }
         Grouping::PerCol => {
             let mut out = vec![0.0f32; m * n];
-            let mut params = Vec::with_capacity(n);
-            let a = t.as_slice();
-            for c in 0..n {
-                let col: Vec<f32> = (0..m).map(|r| a[r * n + c]).collect();
-                let p = QuantParams::calibrate_minmax(&col, bits);
-                for r in 0..m {
-                    out[r * n + c] = p.fake_quant(a[r * n + c]);
-                }
-                params.push(p);
+            let mut lo = vec![f32::INFINITY; n];
+            let mut hi = vec![f32::NEG_INFINITY; n];
+            if n > 0 {
+                // One row-major pass finds every column's range.
+                kernels::finite_range(kernel, a, &mut lo, &mut hi);
+            }
+            let params: Vec<QuantParams> = lo
+                .iter()
+                .zip(&hi)
+                .map(|(&l, &h)| QuantParams::from_range(l, h, bits))
+                .collect();
+            if n > 0 && bits != Bitwidth::B0 {
+                let scales: Vec<f32> = params.iter().map(QuantParams::scale).collect();
+                let zps: Vec<i32> = params.iter().map(QuantParams::zero_point).collect();
+                kernels::fake_quant(kernel, a, &scales, &zps, bits.max_code(), &mut out);
             }
             Ok((Tensor::from_vec(&[m, n], out)?, params))
         }
         Grouping::Block(grid) => {
             let count = grid.block_count(m, n);
-            fake_quant_blocks(t, grid, &vec![bits; count])
+            blocks_with(t, grid, &vec![bits; count], kernel)
         }
     }
 }
@@ -205,6 +242,16 @@ pub fn fake_quant_blocks(
     grid: BlockGrid,
     bits_per_block: &[Bitwidth],
 ) -> Result<(Tensor, Vec<QuantParams>), QuantError> {
+    blocks_with(t, grid, bits_per_block, kernels::active_kernel())
+}
+
+/// [`fake_quant_blocks`] on an explicit kernel.
+fn blocks_with(
+    t: &Tensor,
+    grid: BlockGrid,
+    bits_per_block: &[Bitwidth],
+    kernel: Kernel,
+) -> Result<(Tensor, Vec<QuantParams>), QuantError> {
     require_rank2(t)?;
     let (m, n) = (t.shape()[0], t.shape()[1]);
     let (gr, gc) = grid.grid_dims(m, n);
@@ -222,7 +269,7 @@ pub fn fake_quant_blocks(
             let block = t.block(r0, c0, h, w)?;
             let bits = bits_per_block[bi * gc + bj];
             let p = QuantParams::calibrate_minmax(block.as_slice(), bits);
-            let fq = Tensor::from_vec(&[h, w], p.fake_quant_slice(block.as_slice()))?;
+            let fq = Tensor::from_vec(&[h, w], p.fake_quant_slice_with(block.as_slice(), kernel))?;
             out.set_block(r0, c0, &fq)?;
             params.push(p);
         }

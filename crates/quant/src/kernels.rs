@@ -173,6 +173,33 @@ fn quantize_symmetric_scalar(values: &[f32], scale: f32, out: &mut [i8]) {
     }
 }
 
+/// Scalar reference of the fused fake-quant map — element for element
+/// exactly [`crate::QuantParams::fake_quant`] with lane `i`'s parameters
+/// `(scales[i], zps[i])`: `s·(clamp(round(x/s) + z, 0, max_code) − z)`,
+/// with the code and the difference taken in i64.
+fn fake_quant_scalar(values: &[f32], scales: &[f32], zps: &[i32], max_code: u32, out: &mut [f32]) {
+    for ((o, &x), (&s, &zp)) in out.iter_mut().zip(values).zip(scales.iter().zip(zps)) {
+        let q = ((x / s).round() as i64).saturating_add(zp as i64);
+        *o = s * (q.clamp(0, max_code as i64) - zp as i64) as f32;
+    }
+}
+
+/// Scalar reference of the finite range pass: lane `j` of `lo`/`hi`
+/// folds in, with `f32::min`/`f32::max`, the finite values at lane `j`
+/// of every `lo.len()`-wide row of `values` — exactly
+/// [`crate::QuantParams::calibrate_minmax`]'s fold, per lane.
+fn finite_range_scalar(values: &[f32], lo: &mut [f32], hi: &mut [f32]) {
+    // `max(1)`: a SIMD row's empty tail passes no lanes and folds nothing.
+    for row in values.chunks(lo.len().max(1)) {
+        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
+            if v.is_finite() {
+                *l = l.min(v);
+                *h = h.max(v);
+            }
+        }
+    }
+}
+
 /// Rounded magnitudes below this bound (2³⁰) convert to i32 exactly and
 /// cannot overflow the i32 zero-point add (itself bounded by it); any
 /// other lane — including NaN/∞ — falls back to the scalar map.
@@ -182,8 +209,9 @@ const QUANTIZE_SAFE_BOUND: f32 = 1_073_741_824.0;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
     use super::{
-        axpy_i32_scalar, quantize_codes_scalar, quantize_symmetric_scalar, unpack_b2_scalar,
-        unpack_b4_scalar, unpack_b8_scalar, QUANTIZE_SAFE_BOUND, TILE, TILE_K,
+        axpy_i32_scalar, fake_quant_scalar, finite_range_scalar, quantize_codes_scalar,
+        quantize_symmetric_scalar, unpack_b2_scalar, unpack_b4_scalar, unpack_b8_scalar,
+        QUANTIZE_SAFE_BOUND, TILE, TILE_K,
     };
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
@@ -520,7 +548,73 @@ mod x86 {
     // integers), so the add is exact; any lane whose rounded magnitude
     // reaches [`QUANTIZE_SAFE_BOUND`] — including NaN/∞, which fail the
     // ordered compare — is redone through the scalar map instead of
-    // trusting `cvtps` out-of-range behavior.
+    // trusting `cvtps` out-of-range behavior. The dequantize half of the
+    // fake-quant map is exact too: `code − z` fits i32 when `|z| ≤ 2³⁰`,
+    // `cvtdq2ps` rounds it to nearest-even like the scalar `i64 as f32`,
+    // and the final multiply is one correctly rounded `mulps`.
+
+    /// `f32::round` (half away from zero) on 4 lanes.
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    unsafe fn round_half_away_sse41(r: __m128) -> __m128 {
+        let signmask = _mm_set1_ps(-0.0);
+        let t = _mm_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+        let frac = _mm_andnot_ps(signmask, _mm_sub_ps(r, t));
+        let bump = _mm_and_ps(
+            _mm_cmpge_ps(frac, _mm_set1_ps(0.5)),
+            _mm_or_ps(_mm_and_ps(signmask, r), _mm_set1_ps(1.0)),
+        );
+        _mm_add_ps(t, bump)
+    }
+
+    /// `f32::round` (half away from zero) on 8 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn round_half_away_avx2(r: __m256) -> __m256 {
+        let signmask = _mm256_set1_ps(-0.0);
+        let t = _mm256_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+        let frac = _mm256_andnot_ps(signmask, _mm256_sub_ps(r, t));
+        let bump = _mm256_and_ps(
+            _mm256_cmp_ps(frac, _mm256_set1_ps(0.5), _CMP_GE_OQ),
+            _mm256_or_ps(_mm256_and_ps(signmask, r), _mm256_set1_ps(1.0)),
+        );
+        _mm256_add_ps(t, bump)
+    }
+
+    /// `clamp(round(x/s) + z, 0, max)` on 4 lanes, or `None` when a
+    /// lane's rounded magnitude reaches the safe bound (NaN/∞ included).
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    unsafe fn codes_sse41(x: __m128, sv: __m128, zpv: __m128i, maxv: __m128i) -> Option<__m128i> {
+        let rounded = round_half_away_sse41(_mm_div_ps(x, sv));
+        let magnitude = _mm_andnot_ps(_mm_set1_ps(-0.0), rounded);
+        if _mm_movemask_ps(_mm_cmplt_ps(magnitude, _mm_set1_ps(QUANTIZE_SAFE_BOUND))) != 0xF {
+            return None;
+        }
+        let code = _mm_add_epi32(_mm_cvtps_epi32(rounded), zpv);
+        Some(_mm_min_epi32(
+            _mm_max_epi32(code, _mm_setzero_si128()),
+            maxv,
+        ))
+    }
+
+    /// `clamp(round(x/s) + z, 0, max)` on 8 lanes, or `None` when a
+    /// lane's rounded magnitude reaches the safe bound (NaN/∞ included).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn codes_avx2(x: __m256, sv: __m256, zpv: __m256i, maxv: __m256i) -> Option<__m256i> {
+        let rounded = round_half_away_avx2(_mm256_div_ps(x, sv));
+        let magnitude = _mm256_andnot_ps(_mm256_set1_ps(-0.0), rounded);
+        let bound = _mm256_set1_ps(QUANTIZE_SAFE_BOUND);
+        if _mm256_movemask_ps(_mm256_cmp_ps(magnitude, bound, _CMP_LT_OQ)) != 0xFF {
+            return None;
+        }
+        let code = _mm256_add_epi32(_mm256_cvtps_epi32(rounded), zpv);
+        Some(_mm256_min_epi32(
+            _mm256_max_epi32(code, _mm256_setzero_si256()),
+            maxv,
+        ))
+    }
 
     /// # Safety
     /// Caller must ensure SSE4.1 and `|zp| ≤ 2³⁰`.
@@ -533,34 +627,22 @@ mod x86 {
         out: &mut [u32],
     ) {
         let sv = _mm_set1_ps(scale);
-        let half = _mm_set1_ps(0.5);
-        let one = _mm_set1_ps(1.0);
-        let signmask = _mm_set1_ps(-0.0);
-        let bound = _mm_set1_ps(QUANTIZE_SAFE_BOUND);
         let zpv = _mm_set1_epi32(zp);
-        let zero = _mm_setzero_si128();
         let maxv = _mm_set1_epi32(max_code as i32);
         let n = values.len().min(out.len());
         let mut j = 0usize;
         while j + 4 <= n {
             let x = _mm_loadu_ps(values.as_ptr().add(j));
-            let r = _mm_div_ps(x, sv);
-            let t = _mm_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm_andnot_ps(signmask, _mm_sub_ps(r, t));
-            let bump = _mm_and_ps(
-                _mm_cmpge_ps(frac, half),
-                _mm_or_ps(_mm_and_ps(signmask, r), one),
-            );
-            let rounded = _mm_add_ps(t, bump);
-            let safe = _mm_cmplt_ps(_mm_andnot_ps(signmask, rounded), bound);
-            if _mm_movemask_ps(safe) != 0xF {
-                quantize_codes_scalar(&values[j..j + 4], scale, zp, max_code, &mut out[j..j + 4]);
-                j += 4;
-                continue;
+            match codes_sse41(x, sv, zpv, maxv) {
+                Some(code) => _mm_storeu_si128(out.as_mut_ptr().add(j) as *mut __m128i, code),
+                None => quantize_codes_scalar(
+                    &values[j..j + 4],
+                    scale,
+                    zp,
+                    max_code,
+                    &mut out[j..j + 4],
+                ),
             }
-            let code = _mm_add_epi32(_mm_cvtps_epi32(rounded), zpv);
-            let clamped = _mm_min_epi32(_mm_max_epi32(code, zero), maxv);
-            _mm_storeu_si128(out.as_mut_ptr().add(j) as *mut __m128i, clamped);
             j += 4;
         }
         quantize_codes_scalar(&values[j..n], scale, zp, max_code, &mut out[j..n]);
@@ -577,37 +659,154 @@ mod x86 {
         out: &mut [u32],
     ) {
         let sv = _mm256_set1_ps(scale);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
-        let signmask = _mm256_set1_ps(-0.0);
-        let bound = _mm256_set1_ps(QUANTIZE_SAFE_BOUND);
         let zpv = _mm256_set1_epi32(zp);
-        let zero = _mm256_setzero_si256();
         let maxv = _mm256_set1_epi32(max_code as i32);
         let n = values.len().min(out.len());
         let mut j = 0usize;
         while j + 8 <= n {
             let x = _mm256_loadu_ps(values.as_ptr().add(j));
-            let r = _mm256_div_ps(x, sv);
-            let t = _mm256_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm256_andnot_ps(signmask, _mm256_sub_ps(r, t));
-            let bump = _mm256_and_ps(
-                _mm256_cmp_ps(frac, half, _CMP_GE_OQ),
-                _mm256_or_ps(_mm256_and_ps(signmask, r), one),
-            );
-            let rounded = _mm256_add_ps(t, bump);
-            let safe = _mm256_cmp_ps(_mm256_andnot_ps(signmask, rounded), bound, _CMP_LT_OQ);
-            if _mm256_movemask_ps(safe) != 0xFF {
-                quantize_codes_scalar(&values[j..j + 8], scale, zp, max_code, &mut out[j..j + 8]);
-                j += 8;
-                continue;
+            match codes_avx2(x, sv, zpv, maxv) {
+                Some(code) => _mm256_storeu_si256(out.as_mut_ptr().add(j) as *mut __m256i, code),
+                None => quantize_codes_scalar(
+                    &values[j..j + 8],
+                    scale,
+                    zp,
+                    max_code,
+                    &mut out[j..j + 8],
+                ),
             }
-            let code = _mm256_add_epi32(_mm256_cvtps_epi32(rounded), zpv);
-            let clamped = _mm256_min_epi32(_mm256_max_epi32(code, zero), maxv);
-            _mm256_storeu_si256(out.as_mut_ptr().add(j) as *mut __m256i, clamped);
             j += 8;
         }
         quantize_codes_scalar(&values[j..n], scale, zp, max_code, &mut out[j..n]);
+    }
+
+    /// # Safety
+    /// Caller must ensure SSE4.1, `scales.len() == zps.len() ≥ 1`,
+    /// `out.len() == values.len()` and every `|zps[j]| ≤ 2³⁰`.
+    #[target_feature(enable = "sse4.1")]
+    pub(super) unsafe fn fake_quant_sse41(
+        values: &[f32],
+        scales: &[f32],
+        zps: &[i32],
+        max_code: u32,
+        out: &mut [f32],
+    ) {
+        let maxv = _mm_set1_epi32(max_code as i32);
+        let w = scales.len();
+        for (xs, os) in values.chunks(w).zip(out.chunks_mut(w)) {
+            let n = xs.len();
+            let mut j = 0usize;
+            while j + 4 <= n {
+                let x = _mm_loadu_ps(xs.as_ptr().add(j));
+                let sv = _mm_loadu_ps(scales.as_ptr().add(j));
+                let zpv = _mm_loadu_si128(zps.as_ptr().add(j) as *const __m128i);
+                match codes_sse41(x, sv, zpv, maxv) {
+                    Some(code) => {
+                        let centered = _mm_cvtepi32_ps(_mm_sub_epi32(code, zpv));
+                        _mm_storeu_ps(os.as_mut_ptr().add(j), _mm_mul_ps(sv, centered));
+                    }
+                    None => fake_quant_scalar(
+                        &xs[j..j + 4],
+                        &scales[j..j + 4],
+                        &zps[j..j + 4],
+                        max_code,
+                        &mut os[j..j + 4],
+                    ),
+                }
+                j += 4;
+            }
+            fake_quant_scalar(&xs[j..], &scales[j..n], &zps[j..n], max_code, &mut os[j..]);
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2, `scales.len() == zps.len() ≥ 1`,
+    /// `out.len() == values.len()` and every `|zps[j]| ≤ 2³⁰`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fake_quant_avx2(
+        values: &[f32],
+        scales: &[f32],
+        zps: &[i32],
+        max_code: u32,
+        out: &mut [f32],
+    ) {
+        let maxv = _mm256_set1_epi32(max_code as i32);
+        let w = scales.len();
+        for (xs, os) in values.chunks(w).zip(out.chunks_mut(w)) {
+            let n = xs.len();
+            let mut j = 0usize;
+            while j + 8 <= n {
+                let x = _mm256_loadu_ps(xs.as_ptr().add(j));
+                let sv = _mm256_loadu_ps(scales.as_ptr().add(j));
+                let zpv = _mm256_loadu_si256(zps.as_ptr().add(j) as *const __m256i);
+                match codes_avx2(x, sv, zpv, maxv) {
+                    Some(code) => {
+                        let centered = _mm256_cvtepi32_ps(_mm256_sub_epi32(code, zpv));
+                        _mm256_storeu_ps(os.as_mut_ptr().add(j), _mm256_mul_ps(sv, centered));
+                    }
+                    None => fake_quant_scalar(
+                        &xs[j..j + 8],
+                        &scales[j..j + 8],
+                        &zps[j..j + 8],
+                        max_code,
+                        &mut os[j..j + 8],
+                    ),
+                }
+                j += 8;
+            }
+            fake_quant_scalar(&xs[j..], &scales[j..n], &zps[j..n], max_code, &mut os[j..]);
+        }
+    }
+
+    // The range pass masks non-finite lanes out of the fold: an ordered
+    // `|x| < ∞` compare rejects NaN and ±∞, and a rejected lane keeps its
+    // accumulator. `minps`/`maxps` may pick the other zero than
+    // `f32::min`/`f32::max` when the operands are ±0 — a difference no
+    // calibration can see, since `−0.0 == 0.0` in every range test and
+    // the zero point `round(−lo/s)` converts either sign to 0.
+
+    /// # Safety
+    /// Caller must ensure SSE4.1 and `hi.len() == lo.len() ≥ 1`.
+    #[target_feature(enable = "sse4.1")]
+    pub(super) unsafe fn finite_range_sse41(values: &[f32], lo: &mut [f32], hi: &mut [f32]) {
+        let signmask = _mm_set1_ps(-0.0);
+        let inf = _mm_set1_ps(f32::INFINITY);
+        for row in values.chunks(lo.len()) {
+            let n = row.len();
+            let mut j = 0usize;
+            while j + 4 <= n {
+                let x = _mm_loadu_ps(row.as_ptr().add(j));
+                let finite = _mm_cmplt_ps(_mm_andnot_ps(signmask, x), inf);
+                let (lp, hp) = (lo.as_mut_ptr().add(j), hi.as_mut_ptr().add(j));
+                let (l, h) = (_mm_loadu_ps(lp), _mm_loadu_ps(hp));
+                _mm_storeu_ps(lp, _mm_blendv_ps(l, _mm_min_ps(l, x), finite));
+                _mm_storeu_ps(hp, _mm_blendv_ps(h, _mm_max_ps(h, x), finite));
+                j += 4;
+            }
+            finite_range_scalar(&row[j..], &mut lo[j..n], &mut hi[j..n]);
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 and `hi.len() == lo.len() ≥ 1`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn finite_range_avx2(values: &[f32], lo: &mut [f32], hi: &mut [f32]) {
+        let signmask = _mm256_set1_ps(-0.0);
+        let inf = _mm256_set1_ps(f32::INFINITY);
+        for row in values.chunks(lo.len()) {
+            let n = row.len();
+            let mut j = 0usize;
+            while j + 8 <= n {
+                let x = _mm256_loadu_ps(row.as_ptr().add(j));
+                let finite = _mm256_cmp_ps(_mm256_andnot_ps(signmask, x), inf, _CMP_LT_OQ);
+                let (lp, hp) = (lo.as_mut_ptr().add(j), hi.as_mut_ptr().add(j));
+                let (l, h) = (_mm256_loadu_ps(lp), _mm256_loadu_ps(hp));
+                _mm256_storeu_ps(lp, _mm256_blendv_ps(l, _mm256_min_ps(l, x), finite));
+                _mm256_storeu_ps(hp, _mm256_blendv_ps(h, _mm256_max_ps(h, x), finite));
+                j += 8;
+            }
+            finite_range_scalar(&row[j..], &mut lo[j..n], &mut hi[j..n]);
+        }
     }
 
     // The symmetric map needs no safe-lane fallback: the dispatcher
@@ -622,8 +821,6 @@ mod x86 {
     #[target_feature(enable = "sse4.1")]
     pub(super) unsafe fn quantize_symmetric_sse41(values: &[f32], scale: f32, out: &mut [i8]) {
         let sv = _mm_set1_ps(scale);
-        let half = _mm_set1_ps(0.5);
-        let one = _mm_set1_ps(1.0);
         let signmask = _mm_set1_ps(-0.0);
         let inf = _mm_set1_ps(f32::INFINITY);
         let lim = _mm_set1_ps(127.0);
@@ -634,14 +831,7 @@ mod x86 {
         while j + 4 <= n {
             let x = _mm_loadu_ps(values.as_ptr().add(j));
             let finite = _mm_cmplt_ps(_mm_andnot_ps(signmask, x), inf);
-            let r = _mm_div_ps(x, sv);
-            let t = _mm_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm_andnot_ps(signmask, _mm_sub_ps(r, t));
-            let bump = _mm_and_ps(
-                _mm_cmpge_ps(frac, half),
-                _mm_or_ps(_mm_and_ps(signmask, r), one),
-            );
-            let rounded = _mm_add_ps(t, bump);
+            let rounded = round_half_away_sse41(_mm_div_ps(x, sv));
             let clamped = _mm_min_ps(_mm_max_ps(rounded, nlim), lim);
             let q = _mm_cvtps_epi32(_mm_and_ps(clamped, finite));
             _mm_storeu_si128(tmp.as_mut_ptr() as *mut __m128i, q);
@@ -658,8 +848,6 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn quantize_symmetric_avx2(values: &[f32], scale: f32, out: &mut [i8]) {
         let sv = _mm256_set1_ps(scale);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
         let signmask = _mm256_set1_ps(-0.0);
         let inf = _mm256_set1_ps(f32::INFINITY);
         let lim = _mm256_set1_ps(127.0);
@@ -670,14 +858,7 @@ mod x86 {
         while j + 8 <= n {
             let x = _mm256_loadu_ps(values.as_ptr().add(j));
             let finite = _mm256_cmp_ps(_mm256_andnot_ps(signmask, x), inf, _CMP_LT_OQ);
-            let r = _mm256_div_ps(x, sv);
-            let t = _mm256_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm256_andnot_ps(signmask, _mm256_sub_ps(r, t));
-            let bump = _mm256_and_ps(
-                _mm256_cmp_ps(frac, half, _CMP_GE_OQ),
-                _mm256_or_ps(_mm256_and_ps(signmask, r), one),
-            );
-            let rounded = _mm256_add_ps(t, bump);
+            let rounded = round_half_away_avx2(_mm256_div_ps(x, sv));
             let clamped = _mm256_min_ps(_mm256_max_ps(rounded, nlim), lim);
             let q = _mm256_cvtps_epi32(_mm256_and_ps(clamped, finite));
             _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, q);
@@ -823,6 +1004,84 @@ pub(crate) fn quantize_codes(
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         _ => quantize_codes_scalar(values, scale, zp, max_code, out),
+    }
+}
+
+/// Fused quantize→dequantize on the chosen kernel:
+/// `out[i] = s·(clamp(round(values[i]/s) + z, 0, max_code) − z)` with
+/// `(s, z) = (scales[i % w], zps[i % w])`, `w = scales.len()` — `values`
+/// is a row-major matrix of `w`-wide rows (the last may be short) whose
+/// lane `j` uses parameter set `j`. One row of per-column parameters
+/// serves [`crate::Grouping::PerCol`]; a row of one repeated set serves
+/// every uniform grouping. Bit-identical per element to
+/// [`crate::QuantParams::fake_quant`] on every kernel: unsafe lanes
+/// (rounded magnitude ≥ 2³⁰, NaN, ∞) are redone through the scalar map,
+/// and a zero point past 2³⁰ runs the whole call scalar.
+///
+/// # Panics
+///
+/// If `scales` is empty or `zps`/`out` lengths do not match.
+pub(crate) fn fake_quant(
+    kernel: Kernel,
+    values: &[f32],
+    scales: &[f32],
+    zps: &[i32],
+    max_code: u32,
+    out: &mut [f32],
+) {
+    assert!(
+        !scales.is_empty() && zps.len() == scales.len() && out.len() == values.len(),
+        "fake_quant parameter and output lengths must match"
+    );
+    // Public `_with` entry points pass caller-chosen kernels through.
+    assert!(kernel.is_supported(), "{kernel} is not supported here");
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    let zp_safe = zps.iter().all(|z| z.unsigned_abs() <= 1 << 30);
+    match kernel {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the kernel's CPU feature and the lengths were asserted
+        // above, and the zero points bounds-checked.
+        Kernel::Sse41 if zp_safe => unsafe {
+            x86::fake_quant_sse41(values, scales, zps, max_code, out)
+        },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: as above.
+        Kernel::Avx2 if zp_safe => unsafe {
+            x86::fake_quant_avx2(values, scales, zps, max_code, out)
+        },
+        _ => {
+            let w = scales.len();
+            for (xs, os) in values.chunks(w).zip(out.chunks_mut(w)) {
+                fake_quant_scalar(xs, scales, zps, max_code, os);
+            }
+        }
+    }
+}
+
+/// The finite range pass on the chosen kernel: lane `j` of `lo`/`hi`
+/// folds in the finite values at lane `j` of every `lo.len()`-wide row
+/// of `values` (start them at `+∞`/`−∞`). Per lane, the result equals
+/// [`crate::QuantParams::calibrate_minmax`]'s fold over that lane's
+/// values up to the sign of a zero bound, which no calibration can see.
+///
+/// # Panics
+///
+/// If `lo` is empty or `hi` has a different length.
+pub(crate) fn finite_range(kernel: Kernel, values: &[f32], lo: &mut [f32], hi: &mut [f32]) {
+    assert!(
+        !lo.is_empty() && hi.len() == lo.len(),
+        "finite_range needs equal, non-empty lane arrays"
+    );
+    assert!(kernel.is_supported(), "{kernel} is not supported here");
+    match kernel {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the kernel's CPU feature and the lane arrays' lengths
+        // were asserted above.
+        Kernel::Sse41 => unsafe { x86::finite_range_sse41(values, lo, hi) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: as above.
+        Kernel::Avx2 => unsafe { x86::finite_range_avx2(values, lo, hi) },
+        _ => finite_range_scalar(values, lo, hi),
     }
 }
 

@@ -46,7 +46,8 @@ pub use gemm::{
     dequantize_gemm, quantized_gemm_i32, quantized_gemm_i32_with, QuantizedGemmOperand,
 };
 pub use grouping::{
-    fake_quant_2d, fake_quant_blocks, group_stats, BlockGrid, GroupStats, Grouping,
+    fake_quant_2d, fake_quant_2d_with, fake_quant_blocks, group_stats, BlockGrid, GroupStats,
+    Grouping,
 };
 pub use int_attn::{
     packed_attn_v, packed_attn_v_with, packed_block_gemm_i32, packed_block_gemm_i32_with,

@@ -56,9 +56,6 @@ impl QuantParams {
     /// Degenerate groups (empty, constant, or all-non-finite) yield a scale
     /// that reproduces the constant exactly via the zero point.
     pub fn calibrate_minmax(values: &[f32], bits: Bitwidth) -> Self {
-        if bits == Bitwidth::B0 {
-            return QuantParams::new(1.0, 0, bits);
-        }
         let mut lo = f32::INFINITY;
         let mut hi = f32::NEG_INFINITY;
         for &v in values {
@@ -67,7 +64,14 @@ impl QuantParams {
                 hi = hi.max(v);
             }
         }
-        if !lo.is_finite() || !hi.is_finite() {
+        QuantParams::from_range(lo, hi, bits)
+    }
+
+    /// [`QuantParams::calibrate_minmax`]'s rule applied to a group's
+    /// finite range `[lo, hi]` (`lo = +∞`, `hi = −∞` for a group with no
+    /// finite value), for callers that fold the range themselves.
+    pub(crate) fn from_range(lo: f32, hi: f32, bits: Bitwidth) -> Self {
+        if bits == Bitwidth::B0 || !lo.is_finite() || !hi.is_finite() {
             return QuantParams::new(1.0, 0, bits);
         }
         let span = hi - lo;
@@ -197,9 +201,38 @@ impl QuantParams {
         self.dequantize(self.quantize(x))
     }
 
-    /// Fake-quantizes a slice in one pass.
+    /// Fake-quantizes a slice in one pass on the dispatched SIMD kernel.
+    /// Element for element bit-identical to [`QuantParams::fake_quant`].
     pub fn fake_quant_slice(&self, values: &[f32]) -> Vec<f32> {
-        values.iter().map(|&v| self.fake_quant(v)).collect()
+        self.fake_quant_slice_with(values, crate::kernels::active_kernel())
+    }
+
+    /// [`QuantParams::fake_quant_slice`] on an explicit kernel
+    /// (forced-kernel testing); results are bit-identical across kernels.
+    pub fn fake_quant_slice_with(&self, values: &[f32], kernel: Kernel) -> Vec<f32> {
+        let mut out = vec![0.0f32; values.len()];
+        self.fake_quant_into(values, &mut out, kernel);
+        out
+    }
+
+    /// Writes the fake-quantized `values` into `out` (same length),
+    /// broadcasting this parameter set to every lane of the fused kernel.
+    pub(crate) fn fake_quant_into(&self, values: &[f32], out: &mut [f32], kernel: Kernel) {
+        /// Lanes of the broadcast parameter row: a multiple of every
+        /// SIMD width, small enough to stay in L1 beside the data.
+        const LANES: usize = 64;
+        if self.bits == Bitwidth::B0 {
+            out.fill(0.0); // B0 always dequantizes to 0, no arithmetic at all
+            return;
+        }
+        crate::kernels::fake_quant(
+            kernel,
+            values,
+            &[self.scale; LANES],
+            &[self.zero_point; LANES],
+            self.bits.max_code(),
+            out,
+        );
     }
 
     /// Sum of squared quantization errors over a group.

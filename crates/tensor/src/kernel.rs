@@ -16,10 +16,14 @@
 //! reference:
 //!
 //! - integer kernels are exact by construction (i32 adds commute);
-//! - the f32 matmul vectorizes the *output-column* axis only, so each
-//!   output element accumulates its `k` products in exactly the scalar
-//!   order, and the drivers use separate multiply and add intrinsics
-//!   (never FMA, which rounds once instead of twice).
+//! - the f32 matmul is register-blocked: each micro-tile of `out` (6×16
+//!   on AVX2, 6×8 on SSE4.1, a 6×16 local array on scalar) keeps its
+//!   accumulators in registers across all of `k`. Blocking only decides
+//!   which outputs are computed together, never the order of one
+//!   output's sum: every element starts at +0.0 and adds `a[i][p]·b[p][j]`
+//!   in ascending `p`, ragged edge tiles included, with separate multiply
+//!   and add (never FMA, which rounds once instead of twice). Outputs
+//!   therefore equal a naive triple loop bit for bit on every kernel.
 //!
 //! The equivalence suites (`tensor/tests/matmul_kernels.rs`,
 //! `quant/tests/kernel_equivalence.rs`) pin this contract on every
@@ -201,49 +205,112 @@ pub fn active_kernel() -> Kernel {
     active().kernel
 }
 
-/// k-dimension tile edge of the f32/i32 GEMM drivers. 256 f32 values =
-/// 1 KiB per operand row segment: one `A`-row segment plus the streamed
-/// `B` panel rows stay L1-resident, and a packed/sparse operand is
-/// swept exactly once per tile.
+/// k-dimension tile edge of the f32/i32 GEMM drivers: the granularity of
+/// the f32 GEMM's zero-segment bypass, and the segment the integer GEMM
+/// streams its `B` panel in. 256 f32 values = 1 KiB per operand row
+/// segment.
 pub const TILE_K: usize = 256;
 
-/// Shared tiled-matmul body: rows of `a` are walked in `TILE_K`
-/// segments, a segment that is entirely zero is bypassed (the
+/// Micro-tile height of the f32 GEMM: rows of `a` (and of `out`) one
+/// micro-kernel call covers, shared by every instantiation.
+const MR: usize = 6;
+
+/// Widest micro-tile (AVX2: two 8-lane vectors). The scalar tile uses it
+/// as its width and serves as every kernel's ragged right edge, so its
+/// accumulator array must hold this many columns.
+const NR_MAX: usize = 16;
+
+/// Shared register-blocked GEMM body: `out` is swept in row panels of
+/// [`MR`] rows and, within a panel, column panels of `$nr` columns; each
+/// `MR × $nr` micro-tile keeps its accumulators in registers across all
+/// of `k` and stores them once. A panel's `TILE_K` segment whose `a`
+/// values are all zero is bypassed on every column panel (the
 /// block-sparse fast path — B0 blocks of a quantized map are stored as
-/// zeros), and each surviving `a` element streams one row of `b`
-/// through the kernel's axpy. One body, three instantiations — so the
-/// scalar reference and the SIMD drivers cannot drift structurally.
+/// zeros); `live[t]` records which segments survive. Columns past the
+/// last full `$nr` panel go through [`tile_scalar`]. One body, three
+/// instantiations — so the scalar reference and the SIMD drivers cannot
+/// drift structurally.
 macro_rules! matmul_body {
-    ($axpy:ident, $a:ident, $b:ident, $out:ident, $m:ident, $k:ident, $n:ident, $skip:ident) => {{
-        for i in 0..$m {
-            let arow = &$a[i * $k..(i + 1) * $k];
-            let orow = &mut $out[i * $n..(i + 1) * $n];
-            let mut k0 = 0usize;
-            while k0 < $k {
-                let kt = TILE_K.min($k - k0);
-                let aseg = &arow[k0..k0 + kt];
-                // Zero-block bypass: a fully-zero segment contributes
-                // exactly zero (b is finite when skip_zeros holds), so
-                // its b panel is never touched.
-                if $skip && aseg.iter().all(|&v| v == 0.0) {
-                    k0 += kt;
-                    continue;
+    ($tile:ident, $nr:expr, $a:ident, $b:ident, $out:ident, $m:ident, $k:ident, $n:ident, $skip:ident) => {{
+        let mut live = vec![true; $k.div_ceil(TILE_K)];
+        let mut i0 = 0usize;
+        while i0 < $m {
+            let rows = MR.min($m - i0);
+            if $skip {
+                // A zero segment contributes exactly nothing (b is finite
+                // when skip_zeros holds, and an accumulator that starts
+                // at +0.0 is unchanged by adding ±0), so its b panel is
+                // never touched.
+                for (t, l) in live.iter_mut().enumerate() {
+                    let (k0, k1) = (t * TILE_K, ((t + 1) * TILE_K).min($k));
+                    *l = (i0..i0 + rows)
+                        .any(|r| $a[r * $k + k0..r * $k + k1].iter().any(|&v| v != 0.0));
                 }
-                for (p, &av) in aseg.iter().enumerate() {
-                    let brow = &$b[(k0 + p) * $n..(k0 + p + 1) * $n];
-                    $axpy(orow, brow, av);
-                }
-                k0 += kt;
             }
+            let mut j0 = 0usize;
+            while j0 + $nr <= $n {
+                $tile($a, $b, $out, i0, rows, j0, $k, $n, &live);
+                j0 += $nr;
+            }
+            if j0 < $n {
+                tile_scalar($a, $b, $out, i0, rows, j0, $n - j0, $k, $n, &live);
+            }
+            i0 += MR;
         }
     }};
 }
 
+/// Scalar micro-tile: `out[i0.., j0..j0+cols] = a[i0.., ..] · b[.., j0..]`
+/// for `rows ≤ MR`, `cols ≤ NR_MAX`, accumulated in a local array —
+/// each output starts at +0.0 and adds `a[i][p]·b[p][j]` (multiply, then
+/// add) in ascending `p` over the live segments.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn axpy_scalar(orow: &mut [f32], brow: &[f32], av: f32) {
-    for (o, &bv) in orow.iter_mut().zip(brow) {
-        *o += av * bv;
+fn tile_scalar(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    rows: usize,
+    j0: usize,
+    cols: usize,
+    k: usize,
+    n: usize,
+    live: &[bool],
+) {
+    let mut acc = [[0.0f32; NR_MAX]; MR];
+    for (t, _) in live.iter().enumerate().filter(|(_, &l)| l) {
+        for p in t * TILE_K..((t + 1) * TILE_K).min(k) {
+            let brow = &b[p * n + j0..p * n + j0 + cols];
+            for (r, accr) in acc[..rows].iter_mut().enumerate() {
+                let av = a[(i0 + r) * k + p];
+                for (o, &bv) in accr.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
     }
+    for (r, accr) in acc[..rows].iter().enumerate() {
+        let o = (i0 + r) * n + j0;
+        out[o..o + cols].copy_from_slice(&accr[..cols]);
+    }
+}
+
+/// The scalar driver's full-width column panel.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn panel_scalar(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    rows: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+    live: &[bool],
+) {
+    tile_scalar(a, b, out, i0, rows, j0, NR_MAX, k, n, live);
 }
 
 fn matmul_driver_scalar(
@@ -255,55 +322,133 @@ fn matmul_driver_scalar(
     n: usize,
     skip_zeros: bool,
 ) {
-    matmul_body!(axpy_scalar, a, b, out, m, k, n, skip_zeros)
+    matmul_body!(panel_scalar, NR_MAX, a, b, out, m, k, n, skip_zeros)
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::{axpy_scalar, TILE_K};
+    use super::{tile_scalar, MR, TILE_K};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// `orow[j] += av · brow[j]`, 4 f32 lanes; separate mul/add so the
-    /// rounding matches scalar exactly.
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn axpy_sse41(orow: &mut [f32], brow: &[f32], av: f32) {
-        let n = orow.len().min(brow.len());
-        let va = _mm_set1_ps(av);
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let o = _mm_loadu_ps(orow.as_ptr().add(j));
-            let b = _mm_loadu_ps(brow.as_ptr().add(j));
-            _mm_storeu_ps(orow.as_mut_ptr().add(j), _mm_add_ps(o, _mm_mul_ps(va, b)));
-            j += 4;
-        }
-        axpy_scalar(&mut orow[j..n], &brow[j..n], av);
+    /// Generates one ISA's micro-kernel: an `R × 2·LANES` tile held in
+    /// `2R` vector accumulators across all of `k`. Per `p`, two vectors
+    /// of `b`'s row are loaded once and every row's `a[i][p]` is
+    /// broadcast against them; multiply and add are separate intrinsics
+    /// (never FMA, which rounds once instead of twice), so every lane
+    /// repeats the scalar tile's rounding exactly.
+    macro_rules! simd_panel {
+        ($name:ident, $feature:literal, $vec:ty, $lanes:expr, $zero:ident, $set1:ident, $load:ident, $store:ident, $mul:ident, $add:ident) => {
+            /// # Safety
+            /// Caller must ensure the CPU supports the named feature, and
+            /// that rows `i0..i0+R` of `a` (`k` wide) and columns
+            /// `j0..j0+2·LANES` of `b` and `out` (`n` wide) are in bounds.
+            #[allow(clippy::too_many_arguments)]
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn $name<const R: usize>(
+                a: &[f32],
+                b: &[f32],
+                out: &mut [f32],
+                i0: usize,
+                j0: usize,
+                k: usize,
+                n: usize,
+                live: &[bool],
+            ) {
+                debug_assert!((i0 + R) * k <= a.len());
+                debug_assert!(j0 + 2 * $lanes <= n && k * n <= b.len());
+                debug_assert!((i0 + R - 1) * n + j0 + 2 * $lanes <= out.len());
+                let mut acc: [[$vec; 2]; R] = [[$zero(); 2]; R];
+                let ap = a.as_ptr().add(i0 * k);
+                let bp = b.as_ptr().add(j0);
+                for (t, _) in live.iter().enumerate().filter(|(_, &l)| l) {
+                    for p in t * TILE_K..((t + 1) * TILE_K).min(k) {
+                        let brow = bp.add(p * n);
+                        let b0 = $load(brow);
+                        let b1 = $load(brow.add($lanes));
+                        for (r, accr) in acc.iter_mut().enumerate() {
+                            let av = $set1(*ap.add(r * k + p));
+                            accr[0] = $add(accr[0], $mul(av, b0));
+                            accr[1] = $add(accr[1], $mul(av, b1));
+                        }
+                    }
+                }
+                for (r, accr) in acc.iter().enumerate() {
+                    let op = out.as_mut_ptr().add((i0 + r) * n + j0);
+                    $store(op, accr[0]);
+                    $store(op.add($lanes), accr[1]);
+                }
+            }
+        };
     }
 
-    /// `orow[j] += av · brow[j]`, 8 f32 lanes; separate mul/add, no FMA.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_avx2(orow: &mut [f32], brow: &[f32], av: f32) {
-        let n = orow.len().min(brow.len());
-        let va = _mm256_set1_ps(av);
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let o = _mm256_loadu_ps(orow.as_ptr().add(j));
-            let b = _mm256_loadu_ps(brow.as_ptr().add(j));
-            _mm256_storeu_ps(
-                orow.as_mut_ptr().add(j),
-                _mm256_add_ps(o, _mm256_mul_ps(va, b)),
-            );
-            j += 8;
-        }
-        axpy_scalar(&mut orow[j..n], &brow[j..n], av);
+    simd_panel!(
+        panel_sse41_rows,
+        "sse4.1",
+        __m128,
+        4,
+        _mm_setzero_ps,
+        _mm_set1_ps,
+        _mm_loadu_ps,
+        _mm_storeu_ps,
+        _mm_mul_ps,
+        _mm_add_ps
+    );
+    simd_panel!(
+        panel_avx2_rows,
+        "avx2",
+        __m256,
+        8,
+        _mm256_setzero_ps,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_mul_ps,
+        _mm256_add_ps
+    );
+
+    /// Picks the micro-kernel instantiation for a panel of `rows ≤ MR`
+    /// rows, so ragged bottom panels stay vectorized.
+    macro_rules! simd_panel_dispatch {
+        ($name:ident, $feature:literal, $rows_fn:ident) => {
+            /// # Safety
+            /// As the micro-kernel it dispatches to.
+            #[allow(clippy::too_many_arguments)]
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn $name(
+                a: &[f32],
+                b: &[f32],
+                out: &mut [f32],
+                i0: usize,
+                rows: usize,
+                j0: usize,
+                k: usize,
+                n: usize,
+                live: &[bool],
+            ) {
+                const _: () = assert!(MR == 6, "one arm per panel height");
+                match rows {
+                    6 => $rows_fn::<6>(a, b, out, i0, j0, k, n, live),
+                    5 => $rows_fn::<5>(a, b, out, i0, j0, k, n, live),
+                    4 => $rows_fn::<4>(a, b, out, i0, j0, k, n, live),
+                    3 => $rows_fn::<3>(a, b, out, i0, j0, k, n, live),
+                    2 => $rows_fn::<2>(a, b, out, i0, j0, k, n, live),
+                    _ => $rows_fn::<1>(a, b, out, i0, j0, k, n, live),
+                }
+            }
+        };
     }
+
+    simd_panel_dispatch!(panel_sse41, "sse4.1", panel_sse41_rows);
+    simd_panel_dispatch!(panel_avx2, "avx2", panel_avx2_rows);
 
     /// # Safety
-    /// Caller must ensure the CPU supports SSE4.1.
+    /// Caller must ensure the CPU supports SSE4.1 and the slice lengths
+    /// match `m`, `k`, `n`.
     #[target_feature(enable = "sse4.1")]
     pub(super) unsafe fn matmul_driver_sse41(
         a: &[f32],
@@ -314,11 +459,12 @@ mod x86 {
         n: usize,
         skip_zeros: bool,
     ) {
-        matmul_body!(axpy_sse41, a, b, out, m, k, n, skip_zeros)
+        matmul_body!(panel_sse41, 8, a, b, out, m, k, n, skip_zeros)
     }
 
     /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
+    /// Caller must ensure the CPU supports AVX2 and the slice lengths
+    /// match `m`, `k`, `n`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn matmul_driver_avx2(
         a: &[f32],
@@ -329,18 +475,25 @@ mod x86 {
         n: usize,
         skip_zeros: bool,
     ) {
-        matmul_body!(axpy_avx2, a, b, out, m, k, n, skip_zeros)
+        matmul_body!(panel_avx2, 16, a, b, out, m, k, n, skip_zeros)
     }
 }
 
-/// Tiled `out[m,n] += a[m,k] · b[k,n]` dispatched to `kernel`.
+/// Register-blocked `out[m,n] = a[m,k] · b[k,n]` dispatched to `kernel`.
 ///
 /// `skip_zeros` must be `false` when `b` contains non-finite values so
 /// IEEE `0·NaN = NaN` propagation survives; the caller checks this once.
 ///
-/// Accumulation order per output element is identical for every kernel
-/// (the SIMD paths vectorize only the `n` axis, multiply and add
-/// separately), so outputs are bit-identical across kernels.
+/// Every output element starts at +0.0 and adds `a[i][p]·b[p][j]`
+/// (multiply, then add; no FMA) in ascending `p` on every kernel, edge
+/// tiles included, so outputs are bit-identical across kernels and to a
+/// naive triple loop.
+///
+/// # Panics
+///
+/// If the slice lengths do not match `m`, `k` and `n` — the SIMD
+/// micro-kernels index by raw pointer, so this is checked in release
+/// builds too.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_f32(
     kernel: Kernel,
@@ -352,21 +505,23 @@ pub fn matmul_f32(
     n: usize,
     skip_zeros: bool,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert!(
+        a.len() == m * k && b.len() == k * n && out.len() == m * n,
+        "matmul_f32 operand lengths do not match {m}x{k}x{n}"
+    );
     match kernel {
         Kernel::Scalar => matmul_driver_scalar(a, b, out, m, k, n, skip_zeros),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Kernel::Sse41 => {
-            debug_assert!(Kernel::Sse41.is_supported());
-            // SAFETY: callers only pass kernels `is_supported` admits.
+            assert!(Kernel::Sse41.is_supported());
+            // SAFETY: the feature was just checked, and the lengths were
+            // asserted above; every micro-tile lies inside them.
             unsafe { x86::matmul_driver_sse41(a, b, out, m, k, n, skip_zeros) }
         }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Kernel::Avx2 => {
-            debug_assert!(Kernel::Avx2.is_supported());
-            // SAFETY: callers only pass kernels `is_supported` admits.
+            assert!(Kernel::Avx2.is_supported());
+            // SAFETY: as above.
             unsafe { x86::matmul_driver_avx2(a, b, out, m, k, n, skip_zeros) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
