@@ -4,7 +4,7 @@
 
 use paro::cli::{
     parse_args, ChaosBenchOpts, CliCommand, DriftBenchOpts, PerfBenchOpts, ServeBenchOpts,
-    ShardBenchOpts, SoakBenchOpts, TraceOpts, USAGE,
+    SoakBenchOpts, TraceOpts, USAGE,
 };
 use paro::core::calibration::{calibrate_head, HeadCalibration};
 use paro::core::int_pipeline::run_attention_calibrated_int;
@@ -15,8 +15,7 @@ use paro::prelude::*;
 use paro::report::{
     diff_stage_medians, format_diff_table, missing_baseline_stages, stage_rows, AttnVThroughput,
     ChaosBenchReport, DriftBenchReport, InjectedFaultRow, IntPathComparison, PerfBenchReport,
-    PerfStageRow, ServeBenchReport, ShardBenchReport, ShardScaleRow, ShardSpanRow, SoakBenchReport,
-    SoakRunReport, SoakTenantRow,
+    PerfStageRow, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
 };
 use paro::serve::workload::{
     open_loop_arrivals, scaled_config, synthetic_requests, synthetic_requests_at_phase,
@@ -26,7 +25,6 @@ use paro::serve::{
     CalibrationSource, Engine, PlanHealth, RecalibrationPolicy, ServeConfig, TenantClass, Watchdog,
     WatchdogConfig,
 };
-use paro::sim::OpCategory;
 use paro::tensor::kernel;
 use paro::tensor::render;
 use std::path::PathBuf;
@@ -115,7 +113,6 @@ fn run(cmd: CliCommand) -> Result<(), Box<dyn std::error::Error>> {
             };
             let report = m.run_model(&model, &profile);
             print!("{}", report.format_text());
-            let _ = OpCategory::Linear;
             Ok(())
         }
         CliCommand::ServeBench(opts) => serve_bench(&opts),
@@ -124,7 +121,6 @@ fn run(cmd: CliCommand) -> Result<(), Box<dyn std::error::Error>> {
         CliCommand::SoakBench(opts) => soak_bench(&opts),
         CliCommand::DriftBench(opts) => drift_bench(&opts),
         CliCommand::PerfBench(opts) => perf_bench(&opts),
-        CliCommand::ShardBench(opts) => shard_bench(&opts),
         CliCommand::Plan {
             grid,
             pattern,
@@ -222,10 +218,21 @@ struct Workload {
     spec: WorkloadSpec,
 }
 
-fn build_workload(
-    opts: &ServeBenchOpts,
-    shards: usize,
-) -> Result<Workload, Box<dyn std::error::Error>> {
+/// The engine configuration every serving bench derives from its
+/// workload flags; benches add their own knobs by struct update.
+fn serve_config(opts: &ServeBenchOpts) -> ServeConfig {
+    ServeConfig {
+        workers: opts.threads,
+        queue_capacity: opts.queue,
+        block_edge: opts.block_edge,
+        budget: opts.budget,
+        default_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
+        plan_artifact: opts.plan.as_ref().map(PathBuf::from),
+        ..ServeConfig::default()
+    }
+}
+
+fn build_workload(opts: &ServeBenchOpts) -> Result<Workload, Box<dyn std::error::Error>> {
     let model = scaled_config(
         &ModelConfig::cogvideox_2b(),
         opts.grid.frames(),
@@ -233,17 +240,7 @@ fn build_workload(
         opts.grid.width(),
     );
     let source = Arc::new(SyntheticSource::new(model.clone(), 2, opts.seed ^ 0xca11b));
-    let cfg = ServeConfig {
-        workers: opts.threads,
-        queue_capacity: opts.queue,
-        block_edge: opts.block_edge,
-        budget: opts.budget,
-        default_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
-        plan_artifact: opts.plan.as_ref().map(PathBuf::from),
-        shards,
-        ..ServeConfig::default()
-    };
-    let engine = Engine::new(cfg, model.clone(), source)?;
+    let engine = Engine::new(serve_config(opts), model.clone(), source)?;
     let spec = WorkloadSpec {
         model: model.clone(),
         requests: opts.requests,
@@ -314,7 +311,7 @@ fn record_kernel_dispatch() {
 }
 
 fn serve_bench(opts: &ServeBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
-    let wl = build_workload(opts, 1)?;
+    let wl = build_workload(opts)?;
     let requests = synthetic_requests(&wl.spec);
     // Record the batch; in a compiled-out build the session is inert and
     // the stage table stays empty.
@@ -420,7 +417,7 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
     let t0 = Instant::now();
     // Baseline: a never-faulted engine over the same workload.
     let baseline_bits = {
-        let wl = build_workload(&opts.bench, 1)?;
+        let wl = build_workload(&opts.bench)?;
         let outcome = wl.engine.run_batch(synthetic_requests(&wl.spec));
         batch_output_bits(&outcome)
             .ok_or("baseline batch failed; chaos-bench needs a clean baseline")?
@@ -428,7 +425,7 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
     // Chaos: arm the fault schedule, run the same workload on a fresh
     // engine, and let the fault-tolerance machinery absorb it. Injected
     // panics are expected and contained — keep stderr readable.
-    let wl = build_workload(&opts.bench, 1)?;
+    let wl = build_workload(&opts.bench)?;
     let armed = arm_faults(opts);
     std::panic::set_hook(Box::new(|_| {}));
     let chaos = wl.engine.run_batch(synthetic_requests(&wl.spec));
@@ -497,17 +494,11 @@ fn soak_run(
     let source = Arc::new(SyntheticSource::new(model.clone(), 2, b.seed ^ 0xca11b));
     let (w0, w1) = opts.weights;
     let cfg = ServeConfig {
-        workers: b.threads,
-        queue_capacity: b.queue,
-        block_edge: b.block_edge,
-        budget: b.budget,
-        default_deadline: (b.deadline_ms > 0).then(|| Duration::from_millis(b.deadline_ms)),
-        plan_artifact: b.plan.as_ref().map(PathBuf::from),
         tenants: vec![
             TenantClass::new("interactive", w0),
             TenantClass::new("batch", w1),
         ],
-        ..ServeConfig::default()
+        ..serve_config(b)
     };
     let engine = Engine::new(cfg, model.clone(), source)?;
     let spec = WorkloadSpec {
@@ -739,13 +730,9 @@ fn drift_engine(
 ) -> Result<(Engine, Arc<DriftSource>), Box<dyn std::error::Error>> {
     let source = Arc::new(DriftSource::new(model.clone(), 1, b.seed ^ 0xd21f7));
     let cfg = ServeConfig {
-        workers: b.threads,
-        queue_capacity: b.queue,
-        block_edge: b.block_edge,
-        budget: b.budget,
         watchdog,
         recalibration: RecalibrationPolicy::Off,
-        ..ServeConfig::default()
+        ..serve_config(b)
     };
     let engine = Engine::new(
         cfg,
@@ -1178,173 +1165,13 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// One shard-bench run: the workload at a fixed shard count under a trace
-/// session, returning the batch outputs, the wall clock, the metrics
-/// snapshot, the placement's planned imbalance and the recorded spans.
-struct ShardRun {
-    bits: Vec<Vec<u32>>,
-    wall_ms: f64,
-    snap: paro::serve::MetricsSnapshot,
-    planned_imbalance_pct: f64,
-    records: Vec<paro::trace::SpanRecord>,
-}
-
-fn shard_run(b: &ServeBenchOpts, shards: usize) -> Result<ShardRun, Box<dyn std::error::Error>> {
-    let wl = build_workload(b, shards)?;
-    let requests = synthetic_requests(&wl.spec);
-    let session = paro::trace::TraceSession::start();
-    record_kernel_dispatch();
-    let t0 = Instant::now();
-    let outcome = wl.engine.run_batch(requests);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    // Joining the workers orders the final pool spans before the snapshot.
-    wl.engine.shutdown();
-    let trace = session.finish();
-    let bits = batch_output_bits(&outcome)
-        .ok_or_else(|| format!("shard-bench batch failed at {shards} shard(s)"))?;
-    Ok(ShardRun {
-        bits,
-        wall_ms,
-        snap: wl.engine.metrics_snapshot(),
-        planned_imbalance_pct: wl.engine.shard_set().planned_imbalance_pct(),
-        records: trace.records,
-    })
-}
-
-fn shard_bench(opts: &ShardBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
-    let b = &opts.bench;
-    let model = scaled_config(
-        &ModelConfig::cogvideox_2b(),
-        b.grid.frames(),
-        b.grid.height(),
-        b.grid.width(),
-    );
-    let spec = WorkloadSpec {
-        model: model.clone(),
-        requests: b.requests,
-        blocks: b.blocks,
-        heads: b.heads,
-        seed: b.seed,
-    };
-    // Roofline prediction at head-group granularity: request r hits pair
-    // r % distinct_heads, so a group's load is its request count times the
-    // uniform per-request cost — the same costs the placement packs when
-    // no artifact is loaded.
-    let pairs = spec.distinct_heads();
-    let cost =
-        paro::serve::admission::request_cost(model.grid.len(), model.head_dim(), b.budget, None);
-    let head_costs: Vec<f64> = (0..pairs)
-        .map(|p| cost * (b.requests / pairs + usize::from(p < b.requests % pairs)) as f64)
-        .collect();
-    let curve = paro::sim::dispatch::predicted_shard_scaling(&head_costs, opts.shards);
-    let mut baseline: Option<ShardRun> = None;
-    let mut scaling = Vec::with_capacity(opts.shards);
-    let mut shard_spans = Vec::new();
-    let mut bit_identical = true;
-    let mut measured_imbalance_pct = 0.0;
-    for k in 1..=opts.shards {
-        let run = shard_run(b, k)?;
-        let identical = baseline.as_ref().is_none_or(|base| base.bits == run.bits);
-        bit_identical &= identical;
-        let base_wall = baseline.as_ref().map_or(run.wall_ms, |base| base.wall_ms);
-        measured_imbalance_pct = run.snap.shard_imbalance_pct;
-        scaling.push(ShardScaleRow {
-            shards: k,
-            wall_ms: run.wall_ms,
-            speedup: if run.wall_ms > 0.0 {
-                base_wall / run.wall_ms
-            } else {
-                0.0
-            },
-            predicted_speedup: curve[k - 1].predicted_speedup,
-            predicted_imbalance_pct: curve[k - 1].predicted_imbalance_pct,
-            planned_imbalance_pct: run.planned_imbalance_pct,
-            measured_imbalance_pct: run.snap.shard_imbalance_pct,
-            bit_identical: identical,
-        });
-        if k == opts.shards {
-            // Per-shard pool.execute skew from the span detail tags.
-            let by_detail = paro::trace::summarize_stage_by_detail(
-                &run.records,
-                paro::trace::stage::POOL_EXECUTE,
-            );
-            shard_spans = run
-                .snap
-                .shards
-                .iter()
-                .map(|row| {
-                    let s = by_detail.iter().find(|d| d.detail == row.label);
-                    ShardSpanRow {
-                        shard: row.shard,
-                        label: row.label.clone(),
-                        threads: row.threads,
-                        executed_jobs: row.executed_jobs,
-                        spans: s.map_or(0, |s| s.summary.count),
-                        total_us: s.map_or(0.0, |s| s.summary.total_ns as f64 / 1e3),
-                        p50_us: s.map_or(0.0, |s| s.summary.p50_ns as f64 / 1e3),
-                        p95_us: s.map_or(0.0, |s| s.summary.p95_ns as f64 / 1e3),
-                    }
-                })
-                .collect();
-        }
-        if baseline.is_none() {
-            baseline = Some(run);
-        }
-    }
-    let passed = bit_identical && measured_imbalance_pct <= opts.max_imbalance_pct;
-    let report = ShardBenchReport {
-        model: model.name.clone(),
-        tokens: model.grid.len(),
-        head_dim: model.head_dim(),
-        threads: b.threads,
-        pool_threads: paro::core::pool::ComputePool::global().threads(),
-        requests: b.requests,
-        distinct_heads: pairs,
-        shards: opts.shards,
-        max_imbalance_pct: opts.max_imbalance_pct,
-        bit_identical,
-        measured_imbalance_pct,
-        passed,
-        scaling,
-        shard_spans,
-    };
-    let json = serde_json::to_string_pretty(&report)?;
-    if let Some(path) = &b.out {
-        write_output(path, json.as_bytes())?;
-    }
-    println!("{json}");
-    eprintln!(
-        "shards 1..={}: speedup {:.2}x (predicted {:.2}x), imbalance \
-         measured {:.1}% / planned {:.1}% / bound {:.0}%, bit-identical: {}",
-        opts.shards,
-        report.scaling.last().map_or(1.0, |r| r.speedup),
-        report.scaling.last().map_or(1.0, |r| r.predicted_speedup),
-        measured_imbalance_pct,
-        report
-            .scaling
-            .last()
-            .map_or(0.0, |r| r.planned_imbalance_pct),
-        opts.max_imbalance_pct,
-        bit_identical,
-    );
-    if !passed {
-        return Err(format!(
-            "shard gate failed: bit_identical={bit_identical}, measured \
-             imbalance {measured_imbalance_pct:.1}% vs bound {:.0}%",
-            opts.max_imbalance_pct
-        )
-        .into());
-    }
-    Ok(())
-}
-
 fn trace_workload(opts: &TraceOpts) -> Result<(), Box<dyn std::error::Error>> {
     if !paro::trace::COMPILED_IN {
         return Err("this binary was built without tracing (the paro crate's \
                     `trace` feature); rebuild with default features to record"
             .into());
     }
-    let wl = build_workload(&opts.bench, 1)?;
+    let wl = build_workload(&opts.bench)?;
     let requests = synthetic_requests(&wl.spec);
     let session = paro::trace::TraceSession::start();
     record_kernel_dispatch();
@@ -1398,4 +1225,32 @@ fn trace_workload(opts: &TraceOpts) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_config_honours_the_deadline_flag() {
+        let opts = |deadline_ms| ServeBenchOpts {
+            grid: TokenGrid::new(2, 4, 4),
+            threads: 2,
+            queue: 8,
+            requests: 4,
+            blocks: 1,
+            heads: 1,
+            budget: 4.8,
+            block_edge: 4,
+            deadline_ms,
+            seed: 1,
+            plan: None,
+            out: None,
+        };
+        assert_eq!(
+            serve_config(&opts(5)).default_deadline,
+            Some(Duration::from_millis(5))
+        );
+        assert_eq!(serve_config(&opts(0)).default_deadline, None);
+    }
 }

@@ -415,97 +415,6 @@ pub struct AttnVThroughput {
     pub packed_map_gb_per_sec: f64,
 }
 
-/// Top-level JSON report `paro shard-bench` prints to stdout: the same
-/// workload run at every shard count from 1 to `--shards`, each sharded
-/// run checked bit-identical against the 1-shard baseline, with the
-/// measured per-shard busy-time skew next to the LPT-planned balance and
-/// the roofline prediction from `paro_sim::dispatch`. The CI shard-smoke
-/// job gates on `passed` (see docs/SHARDING.md).
-#[derive(Debug, Serialize, Deserialize)]
-pub struct ShardBenchReport {
-    /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
-    pub model: String,
-    /// Tokens per attention head (the scaled grid's volume).
-    pub tokens: usize,
-    /// Head dimension of the model.
-    pub head_dim: usize,
-    /// Serve worker threads.
-    pub threads: usize,
-    /// Effective compute-pool worker threads on this host
-    /// (`PARO_POOL_THREADS` or `available_parallelism`): the width the
-    /// shards split between them, without which the scaling curve is
-    /// uninterpretable across hosts.
-    pub pool_threads: usize,
-    /// Requests in the stream (run once per shard count).
-    pub requests: usize,
-    /// Distinct `(block, head)` pairs the stream cycles through.
-    pub distinct_heads: usize,
-    /// Top shard count of the sweep (`--shards`).
-    pub shards: usize,
-    /// The imbalance gate bound (`--max-imbalance-pct`).
-    pub max_imbalance_pct: f64,
-    /// Whether every sharded run's outputs matched the 1-shard baseline
-    /// bit for bit.
-    pub bit_identical: bool,
-    /// Measured per-shard busy-time imbalance at the top shard count.
-    pub measured_imbalance_pct: f64,
-    /// `bit_identical && measured_imbalance_pct <= max_imbalance_pct`;
-    /// `false` exits non-zero.
-    pub passed: bool,
-    /// One row per shard count, 1 through `shards`: the scaling curve.
-    pub scaling: Vec<ShardScaleRow>,
-    /// Per-shard `pool.execute` span skew at the top shard count, from
-    /// the run's trace session. Empty when tracing is compiled out.
-    pub shard_spans: Vec<ShardSpanRow>,
-}
-
-/// One shard count's run in the shard-bench scaling curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardScaleRow {
-    /// Shard count of this run.
-    pub shards: usize,
-    /// Wall-clock time of the batch, milliseconds.
-    pub wall_ms: f64,
-    /// `wall_ms(1 shard) / wall_ms(this run)` — measured scaling.
-    pub speedup: f64,
-    /// Roofline-predicted speedup at this shard count
-    /// (`paro_sim::dispatch::predicted_shard_scaling` over the planner's
-    /// per-head costs).
-    pub predicted_speedup: f64,
-    /// Roofline-predicted load imbalance at this shard count, percent.
-    pub predicted_imbalance_pct: f64,
-    /// LPT-planned load imbalance of the placement, percent.
-    pub planned_imbalance_pct: f64,
-    /// Measured per-shard busy-time imbalance of this run, percent.
-    pub measured_imbalance_pct: f64,
-    /// Whether this run's outputs matched the 1-shard baseline bit for
-    /// bit (trivially `true` for the 1-shard row).
-    pub bit_identical: bool,
-}
-
-/// One shard's `pool.execute` span aggregate in a shard-bench run —
-/// the per-shard skew view trace summaries report via the span `detail`
-/// tag.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardSpanRow {
-    /// Shard index.
-    pub shard: usize,
-    /// Shard label (`shard0`, `shard1`, …) tagging the spans.
-    pub label: String,
-    /// Pool worker threads of this shard.
-    pub threads: usize,
-    /// Jobs this shard's pool executed during the run.
-    pub executed_jobs: u64,
-    /// `pool.execute` spans recorded for this shard.
-    pub spans: u64,
-    /// Sum of this shard's span durations, microseconds.
-    pub total_us: f64,
-    /// Median span duration, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile span duration, microseconds.
-    pub p95_us: f64,
-}
-
 /// Top-level JSON report `paro tune` writes (`--report`): the bit-budget
 /// search outcome under the latency SLO, the roofline model seeded from
 /// the measured perf-bench baseline, the per-head chosen budgets, and a
@@ -806,50 +715,5 @@ mod tests {
         assert_eq!(back.attn_v.kernel, "avx2");
         assert_eq!(back.scalar_attn_v.mac_p50_us, 1400.0);
         assert_eq!(back.pool_threads, 8);
-    }
-
-    #[test]
-    fn shard_report_round_trips_through_json() {
-        let report = ShardBenchReport {
-            model: "CogVideoX-2B@4x6x6".to_string(),
-            tokens: 144,
-            head_dim: 64,
-            threads: 4,
-            pool_threads: 8,
-            requests: 24,
-            distinct_heads: 12,
-            shards: 2,
-            max_imbalance_pct: 75.0,
-            bit_identical: true,
-            measured_imbalance_pct: 12.5,
-            passed: true,
-            scaling: vec![ShardScaleRow {
-                shards: 2,
-                wall_ms: 80.0,
-                speedup: 1.6,
-                predicted_speedup: 2.0,
-                predicted_imbalance_pct: 0.0,
-                planned_imbalance_pct: 1.5,
-                measured_imbalance_pct: 12.5,
-                bit_identical: true,
-            }],
-            shard_spans: vec![ShardSpanRow {
-                shard: 0,
-                label: "shard0".to_string(),
-                threads: 4,
-                executed_jobs: 24,
-                spans: 24,
-                total_us: 9000.0,
-                p50_us: 350.0,
-                p95_us: 600.0,
-            }],
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: ShardBenchReport = serde_json::from_str(&json).unwrap();
-        assert!(back.passed);
-        assert_eq!(back.scaling.len(), 1);
-        assert_eq!(back.scaling[0].shards, 2);
-        assert_eq!(back.shard_spans[0].label, "shard0");
-        assert!(json.contains("measured_imbalance_pct"));
     }
 }

@@ -153,6 +153,17 @@ impl From<paro_core::CoreError> for ServeError {
     }
 }
 
+/// A panicking compute-pool job, contained by `try_run`, is a transient
+/// fault at the `pool.job` site.
+impl From<paro_core::pool::PoolFault> for ServeError {
+    fn from(fault: paro_core::pool::PoolFault) -> Self {
+        ServeError::Faulted {
+            site: paro_failpoint::site::POOL_JOB.into(),
+            message: fault.message,
+        }
+    }
+}
+
 /// Estimated execution cost (PE-array cycles) of one attention request.
 ///
 /// With a frozen calibration the cost is the sum of the simulator's
@@ -206,6 +217,19 @@ mod tests {
         let c4 = request_cost(64, 16, 4.0, None);
         assert!((c8 / c4 - 2.0).abs() < 1e-9);
         assert!((c8 - (64.0 * 64.0 * 16.0)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn pool_panic_maps_to_a_transient_pool_job_fault() {
+        let fault = paro_core::pool::ComputePool::new(1)
+            .try_run(|| -> u32 { panic!("boom") })
+            .unwrap_err();
+        let e = ServeError::from(fault);
+        assert!(
+            matches!(&e, ServeError::Faulted { site, message } if site == "pool.job" && message == "boom"),
+            "{e:?}"
+        );
+        assert!(e.is_transient());
     }
 
     #[test]

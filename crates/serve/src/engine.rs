@@ -20,11 +20,9 @@
 //!
 //! Worker threads only orchestrate (graph dispatch, cache lookups,
 //! waiting); the CPU-heavy work — calibration and the attention kernels —
-//! runs on the engine's shard set ([`crate::shard::ShardSet`]): by
-//! default one shard delegating to the process-wide
-//! [`paro_core::pool::ComputePool`] (sized by `available_parallelism`),
-//! or with [`ServeConfig::shards`] `> 1` a set of labeled pools splitting
-//! that width, each owning an LPT-balanced head group. Raising `workers`
+//! runs on the process-wide [`ComputePool::global`] (sized by
+//! `available_parallelism`), one shared FIFO queue that never idles a
+//! thread while work is waiting. Raising `workers`
 //! therefore increases request concurrency without oversubscribing
 //! cores.
 
@@ -34,14 +32,13 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan_cache::{MethodKey, PlanCache, PlanKey};
 use crate::plan_store::PlanStore;
 use crate::scheduler::{Admission, GraphStats, TenantClass, WorkGraph};
-use crate::shard::ShardSet;
 use paro_core::calibration::{calibrate_head, HeadCalibration};
 use paro_core::cancel::Deadline;
 use paro_core::int_pipeline::{run_attention_calibrated_int_with, IntAttentionRun};
 use paro_core::pipeline::{run_attention_calibrated_reference, AttentionInputs, AttentionRun};
-use paro_core::pool::panic_message;
+use paro_core::pool::{panic_message, ComputePool};
 use paro_core::CoreError;
-use paro_model::ModelConfig;
+use paro_model::{ModelConfig, TokenGrid};
 use paro_quant::{Bitwidth, BlockGrid};
 use paro_tensor::Tensor;
 use paro_trace::SpanOutcome;
@@ -103,13 +100,6 @@ pub struct ServeConfig {
     /// When (if ever) the engine recalibrates online and hot-swaps a new
     /// plan epoch. [`RecalibrationPolicy::OnStale`] requires a watchdog.
     pub recalibration: RecalibrationPolicy,
-    /// Compute-pool shards (1..=[`crate::shard::MAX_SHARDS`]). The
-    /// default of 1 runs every job on the process-wide global pool —
-    /// exactly the unsharded engine. With `K > 1` the engine plans a
-    /// head→shard map (greedy LPT over calibrated per-head costs) and
-    /// splits the global pool's thread width across `K` labeled pools;
-    /// output stays bit-identical to 1 shard. See `docs/SHARDING.md`.
-    pub shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -130,7 +120,6 @@ impl Default for ServeConfig {
             tenants: vec![TenantClass::default()],
             watchdog: None,
             recalibration: RecalibrationPolicy::Off,
-            shards: 1,
         }
     }
 }
@@ -204,13 +193,6 @@ impl ServeConfig {
                 ));
             }
             _ => {}
-        }
-        if self.shards == 0 || self.shards > crate::shard::MAX_SHARDS {
-            return Err(ServeError::InvalidConfig(format!(
-                "shards must be in 1..={}, got {}",
-                crate::shard::MAX_SHARDS,
-                self.shards
-            )));
         }
         Ok(())
     }
@@ -416,7 +398,6 @@ pub struct Engine {
     metrics: Arc<Metrics>,
     source: Arc<dyn CalibrationSource>,
     lifecycle: Arc<Lifecycle>,
-    shards: Arc<ShardSet>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
     submitted: std::sync::atomic::AtomicUsize,
@@ -460,18 +441,6 @@ impl Engine {
             }
             None => None,
         };
-        // The shard set is planned after the plan artifact loads, so
-        // the head→shard map packs the *frozen* per-head costs (a B0-heavy
-        // head weighs almost nothing); without an artifact every head
-        // costs the budget-scaled estimate and LPT degrades to an even
-        // split. Routing is pure in (block, head): it cannot affect the
-        // engine's bit-identical reassembly, only latency.
-        let shards = Arc::new(ShardSet::plan(
-            cfg.shards,
-            &model,
-            cfg.budget,
-            plans.as_deref(),
-        )?);
         let graph = Arc::new(WorkGraph::new(&cfg.tenants, cfg.queue_capacity));
         let cache = Arc::new(PlanCache::new(cfg.cache_capacity));
         let names: Vec<&str> = cfg.tenants.iter().map(|t| t.name.as_str()).collect();
@@ -499,7 +468,6 @@ impl Engine {
                 source: Arc::clone(&source),
                 plans: plans.clone(),
                 lifecycle: Arc::clone(&lifecycle),
-                shards: Arc::clone(&shards),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("paro-serve-{i}"))
@@ -519,7 +487,6 @@ impl Engine {
             metrics,
             source,
             lifecycle,
-            shards,
             workers: Mutex::new(workers),
             started: Instant::now(),
             submitted: std::sync::atomic::AtomicUsize::new(0),
@@ -728,18 +695,8 @@ impl Engine {
 
     /// Point-in-time metrics snapshot (JSON-serializable).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(
-            self.graph.len(),
-            self.started.elapsed(),
-            self.cache.stats(),
-            self.shards.snapshot_rows(),
-        )
-    }
-
-    /// The engine's shard set: the planned head→shard map and the
-    /// per-shard pools (a single global-pool shard by default).
-    pub fn shard_set(&self) -> &ShardSet {
-        &self.shards
+        self.metrics
+            .snapshot(self.graph.len(), self.started.elapsed(), self.cache.stats())
     }
 
     fn plan_key(&self, block: usize, head: usize) -> PlanKey {
@@ -808,7 +765,6 @@ impl Engine {
             metrics: Arc::clone(&self.metrics),
             source: Arc::clone(&self.source),
             lifecycle: Arc::clone(&self.lifecycle),
-            shards: Arc::clone(&self.shards),
         };
         let result = recalibrate_guarded(&ctx);
         self.lifecycle.recalibrating.store(false, Ordering::Release);
@@ -853,7 +809,6 @@ struct WorkerCtx {
     source: Arc<dyn CalibrationSource>,
     plans: Option<Arc<PlanStore>>,
     lifecycle: Arc<Lifecycle>,
-    shards: Arc<ShardSet>,
 }
 
 fn worker_loop(ctx: &WorkerCtx) {
@@ -1043,7 +998,6 @@ struct RecalibCtx {
     metrics: Arc<Metrics>,
     source: Arc<dyn CalibrationSource>,
     lifecycle: Arc<Lifecycle>,
-    shards: Arc<ShardSet>,
 }
 
 /// Starts a background recalibration unless one is already in flight.
@@ -1062,7 +1016,6 @@ fn trigger_background_recalibration(ctx: &WorkerCtx) {
         metrics: Arc::clone(&ctx.metrics),
         source: Arc::clone(&ctx.source),
         lifecycle: Arc::clone(&ctx.lifecycle),
-        shards: Arc::clone(&ctx.shards),
     };
     let spawned = std::thread::Builder::new()
         .name("paro-recalibrate".into())
@@ -1177,29 +1130,9 @@ fn attempt_recalibration(
     }
     let mut entries = Vec::with_capacity(keys.len());
     for key in keys {
-        let source = Arc::clone(&ctx.source);
-        let (block_idx, head) = (key.block, key.head);
-        let grid = ctx.model.grid;
-        let edge = key.method.block_edge;
-        let calib_bits = key.method.calib_bits;
         // Re-freeze at the key's own method point, so shed coarse-budget
         // plans recalibrate at the shed budget, not the full one.
-        let budget = key.method.budget();
-        let alpha = key.method.alpha();
-        let cal = ctx
-            .shards
-            .pool_for(block_idx, head)
-            .try_run(move || {
-                let maps = source.calibration_maps(block_idx, head)?;
-                let block = BlockGrid::square(edge).map_err(CoreError::from)?;
-                Ok::<_, ServeError>(calibrate_head(
-                    &maps, &grid, block, calib_bits, budget, alpha,
-                )?)
-            })
-            .map_err(|fault| ServeError::Faulted {
-                site: paro_failpoint::site::POOL_JOB.into(),
-                message: fault.message,
-            })??;
+        let cal = calibrate_on_pool(&ctx.source, key, ctx.model.grid)?;
         entries.push((key.at_epoch(new_epoch), Arc::new(cal)));
     }
     Ok(entries)
@@ -1276,16 +1209,9 @@ fn execute(ctx: &WorkerCtx, job: &Job) -> Result<Executed, ServeError> {
             let inputs = job.inputs.clone();
             let cal_for_run = Arc::clone(&cal);
             let output_aware = ctx.cfg.output_aware;
-            let run = ctx
-                .shards
-                .pool_for(job.block, job.head)
-                .try_run(move || {
-                    run_attention_calibrated_reference(&inputs, &cal_for_run, output_aware)
-                })
-                .map_err(|fault| ServeError::Faulted {
-                    site: paro_failpoint::site::POOL_JOB.into(),
-                    message: fault.message,
-                })??;
+            let run = ComputePool::global().try_run(move || {
+                run_attention_calibrated_reference(&inputs, &cal_for_run, output_aware)
+            })??;
             drop(fallback_span);
             Ok(Executed {
                 run,
@@ -1341,35 +1267,37 @@ fn resolve_calibration(
         }
         let _calibrate_span = paro_trace::span(paro_trace::stage::SERVE_CALIBRATE);
         let t0 = Instant::now();
-        // Calibration is CPU-bound: run it on the shared compute pool so
-        // serve workers never oversubscribe cores.
-        let source = Arc::clone(&ctx.source);
-        let (block_idx, head) = (job.block, job.head);
-        let grid = *job.inputs.grid();
-        let edge = ctx.cfg.block_edge;
-        let calib_bits = ctx.cfg.calib_bits;
-        let budget = job.budget_override.unwrap_or(ctx.cfg.budget);
-        let alpha = ctx.cfg.alpha;
-        let cal = ctx
-            .shards
-            .pool_for(block_idx, head)
-            .try_run(move || {
-                let maps = source.calibration_maps(block_idx, head)?;
-                let block = BlockGrid::square(edge).map_err(CoreError::from)?;
-                Ok::<_, ServeError>(calibrate_head(
-                    &maps, &grid, block, calib_bits, budget, alpha,
-                )?)
-            })
-            .map_err(|fault| ServeError::Faulted {
-                site: paro_failpoint::site::POOL_JOB.into(),
-                message: fault.message,
-            })??;
+        let cal = calibrate_on_pool(&ctx.source, key, *job.inputs.grid())?;
         ctx.metrics.calibration_ns.fetch_add(
             t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             Relaxed,
         );
         Ok::<_, ServeError>(cal)
     })
+}
+
+/// Calibrates the head `key` names at the key's own method point on the
+/// shared compute pool — calibration is CPU-bound, so serve workers never
+/// oversubscribe cores. Cache misses and recalibration both come here.
+fn calibrate_on_pool(
+    source: &Arc<dyn CalibrationSource>,
+    key: &PlanKey,
+    grid: TokenGrid,
+) -> Result<HeadCalibration, ServeError> {
+    let source = Arc::clone(source);
+    let (block_idx, head, method) = (key.block, key.head, key.method);
+    ComputePool::global().try_run(move || {
+        let maps = source.calibration_maps(block_idx, head)?;
+        let block = BlockGrid::square(method.block_edge).map_err(CoreError::from)?;
+        Ok(calibrate_head(
+            &maps,
+            &grid,
+            block,
+            method.calib_bits,
+            method.budget(),
+            method.alpha(),
+        )?)
+    })?
 }
 
 /// One attempt at the packed-int attention path on the compute pool, with
@@ -1386,15 +1314,9 @@ fn int_attention(
     let inputs = job.inputs.clone();
     let cal_for_run = Arc::clone(cal);
     let output_aware = ctx.cfg.output_aware;
-    let int = ctx
-        .shards
-        .pool_for(job.block, job.head)
+    let int = ComputePool::global()
         .try_run(move || {
             run_attention_calibrated_int_with(&inputs, &cal_for_run, output_aware, deadline)
-        })
-        .map_err(|fault| ServeError::Faulted {
-            site: paro_failpoint::site::POOL_JOB.into(),
-            message: fault.message,
         })?
         .map_err(|e| match e {
             CoreError::Cancelled => ServeError::DeadlineExceeded {

@@ -27,10 +27,6 @@
 //!   [`ServeConfig::plan_artifact`] set, cache misses fill from a
 //!   validated `paro-artifact` file instead of recalibrating, so a cold
 //!   start costs one file read instead of one calibration per head.
-//! - [`shard`] — sharded execution: `K` labeled compute-pool shards with
-//!   a statically planned head→shard map (greedy LPT over the calibrated
-//!   per-head costs, [`paro_core::placement`]), bit-identical to the
-//!   unsharded engine by construction. See `docs/SHARDING.md`.
 //! - [`admission`] — structured [`ServeError`]s (a full work graph
 //!   rejects instead of blocking), NaN/Inf input rejection at the door,
 //!   per-request deadlines with cooperative mid-pipeline cancellation,
@@ -85,7 +81,6 @@ pub mod metrics;
 pub mod plan_cache;
 pub mod plan_store;
 pub mod scheduler;
-pub mod shard;
 pub mod workload;
 
 pub use admission::ServeError;
@@ -94,13 +89,11 @@ pub use engine::{
 };
 pub use lifecycle::{PlanHealth, RecalibrationPolicy, Watchdog, WatchdogConfig, WatchdogStats};
 pub use metrics::{
-    shard_imbalance_pct, LatencyHistogram, LatencySummary, Metrics, MetricsSnapshot, ShardSnapshot,
-    TenantMetrics, TenantSnapshot,
+    LatencyHistogram, LatencySummary, Metrics, MetricsSnapshot, TenantMetrics, TenantSnapshot,
 };
 pub use plan_cache::{CacheStats, MethodKey, PlanCache, PlanKey};
 pub use plan_store::PlanStore;
 pub use scheduler::{GraphStats, TenantClass, WorkGraph};
-pub use shard::{shard_label, ShardSet, MAX_SHARDS};
 
 /// Convenience re-exports for engine users.
 pub mod prelude {

@@ -69,10 +69,7 @@ mod collector;
 mod noop;
 
 pub use record::{SpanOutcome, SpanRecord, NO_CTX, NO_DETAIL};
-pub use summary::{
-    format_table, summarize, summarize_by_ctx, summarize_stage_by_detail, CtxSummary,
-    DetailSummary, StageSummary,
-};
+pub use summary::{format_table, summarize, summarize_by_ctx, CtxSummary, StageSummary};
 
 #[cfg(feature = "enabled")]
 pub use collector::{
